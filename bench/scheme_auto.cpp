@@ -1,7 +1,13 @@
-// kAuto dispatch-quality benchmark: calibrated (tuned) vs heuristic
+// kAuto dispatch-quality benchmark: calibrated (tuned) vs empty-grid
 // (untuned) vs best static scheme, on the two workloads the baseline
 // records — triangle counting on an R-MAT graph and the batched
-// multi-mask query service.
+// multi-mask query service. For each workload it also prints what kAuto
+// resolves to, tuned and untuned, as one line per run:
+//
+//   <workload> resolved <tuned|untuned> algo=<MSA|Hash|Heap|Adaptive>
+//       phase=<1P|2P> warm_phase=<1P|2P>
+//
+// (`warm_phase` is the phase once the plan holds the output structure).
 //
 // The tuned run loads the profile from MSP_TUNE_PROFILE when set,
 // otherwise calibrates in-process (quick grid; MSP_TUNE_FULL=1 for the
@@ -10,6 +16,8 @@
 // and printed. Acceptance (ISSUE 7): tuned kAuto matches or beats
 // untuned kAuto on every entry and is never more than 5% slower than
 // the best static scheme.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -29,6 +37,26 @@ tuner::TuneProfile acquire_profile() {
   tuner::CalibrationOptions opts;
   opts.quick = env_long("MSP_TUNE_FULL", 0) == 0;
   return tuner::calibrate(opts);
+}
+
+/// Print the first-call kAuto resolution of one workload, through the
+/// same tuner::resolve_auto the Engine calls (`selector` null: untuned).
+void print_resolved(const char* workload, const tuner::TunedSelector* selector,
+                    const std::vector<std::int64_t>& row_flops,
+                    std::size_t mask_nnz, std::int64_t nrows,
+                    std::int64_t ncols) {
+  MaskedSpgemmOptions opt;
+  tuner::AutoDecision dec;
+  tuner::resolve_auto(selector, build_flops_histogram(row_flops), mask_nnz,
+                      nrows, ncols, dec, opt);
+  const auto name = [](MaskedPhase p) {
+    return p == MaskedPhase::kOnePhase ? "1P" : "2P";
+  };
+  std::printf("%s resolved %s algo=%s phase=%s warm_phase=%s\n", workload,
+              selector != nullptr ? "tuned" : "untuned",
+              algorithm_name(opt.algorithm), name(opt.phase),
+              name(opt.exact_phase_when_cached ? MaskedPhase::kTwoPhase
+                                               : opt.phase));
 }
 
 bool identical(const std::vector<Graph>& xs, const std::vector<Graph>& ys) {
@@ -54,6 +82,9 @@ int main() {
   const int repetitions = reps();
 
   const tuner::TuneProfile profile = acquire_profile();
+  // Refinement off: prints the decision the tuned engine starts from.
+  const tuner::TunedSelector selector(profile, /*online_refine=*/false);
+  const tuner::TunedSelector* const selectors[] = {&selector, nullptr};
   std::printf("# scheme_auto: kAuto tuned vs untuned vs best static "
               "(%s profile, %d reps)\n",
               profile.quick ? "quick" : "full", repetitions);
@@ -62,6 +93,11 @@ int main() {
   {
     const Graph g = rmat_graph<IT, VT>(scale, 16.0);
     const auto input = tricount_prepare(g);
+    const auto l_flops = row_flops(input.l, input.l);
+    for (const tuner::TunedSelector* sel : selectors) {
+      print_resolved("tricount", sel, l_flops, input.l.nnz(), input.l.nrows,
+                     input.l.ncols);
+    }
 
     // Bound-operand handles for every engine: the steady-state service
     // shape (PR 4) — fingerprints and per-row flops come from the handle
@@ -133,7 +169,18 @@ int main() {
       }));
     }
     std::vector<const Graph*> masks;
-    for (const Graph& m : mask_store) masks.push_back(&m);
+    std::size_t mask_nnz = 0;
+    for (const Graph& m : mask_store) {
+      masks.push_back(&m);
+      mask_nnz += m.nnz();
+    }
+    // One decision for the whole batch, from the average mask (as
+    // Engine::multiply_batch resolves it).
+    mask_nnz /= std::max<std::size_t>(1, masks.size());
+    const auto g_flops = row_flops(g, g);
+    for (const tuner::TunedSelector* sel : selectors) {
+      print_resolved("multimask", sel, g_flops, mask_nnz, g.nrows, g.ncols);
+    }
 
     auto measure_batch = [&](bool tuned) {
       std::vector<Graph> out;

@@ -30,6 +30,11 @@
 # `check.sh --lint` runs the static lint gate (scripts/lint.sh: house
 # rules + clang-tidy-with-baseline when installed) — mirroring the CI
 # `lint` job, minus its hard clang-tidy requirement.
+#
+# `check.sh --loc [REF]` prints the lines added, removed and net under
+# src/ in the working tree (untracked files included) against the
+# merge-base of HEAD and REF (default `main`) — the net src/ figure every
+# change reports. No build.
 set -eu
 cd "$(dirname "$0")/.."
 if [ "${1:-}" = "--sanitize" ]; then
@@ -61,6 +66,15 @@ elif [ "${1:-}" = "--serve" ]; then
   grep -q "clean shutdown: yes" serve_smoke.txt
 elif [ "${1:-}" = "--lint" ]; then
   exec sh scripts/lint.sh
+elif [ "${1:-}" = "--loc" ]; then
+  base=$(git merge-base "${2:-main}" HEAD)
+  {
+    git diff --numstat "$base" -- src
+    git ls-files --others --exclude-standard -- src | while read -r f; do
+      printf '%s\t0\t%s\n' "$(wc -l < "$f")" "$f"
+    done
+  } | awk -v base="$base" '{ add += $1; del += $2 }
+    END { printf "src/ vs %.12s: +%d -%d net %+d\n", base, add, del, add - del }'
 else
   cmake -B build -S . && cmake --build build -j && cd build && ctest --output-on-failure -j
 fi

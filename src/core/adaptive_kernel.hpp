@@ -38,7 +38,11 @@ namespace msp {
 template <Semiring SR, class IT, class VT, class MT>
 class AdaptiveKernel {
  public:
-  /// Tuning knobs for the per-row routing heuristic.
+  /// Tuning knobs for the per-row routing heuristic. The two heuristic
+  /// knobs serve only explicit MaskedAlgorithm::kAdaptive requests with no
+  /// table (e.g. the hybrid ablation): Scheme::kAuto always arrives with a
+  /// route table from tuner::resolve_auto, which never routes Heap under a
+  /// complemented mask, so kAuto never reaches them.
   struct Policy {
     /// Route to Heap when flops(i) * heap_flops_factor <= nnz(M(i,:)).
     long heap_flops_factor = 4;

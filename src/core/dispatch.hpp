@@ -15,7 +15,8 @@
 //   run_scheme_batch(...)              →  Engine::multiply_batch
 //
 // All overloads reject unsupported (scheme, mask kind) combinations with
-// a typed unsupported_scheme_error naming the scheme (core/scheme.hpp).
+// a typed unsupported_scheme_error naming the scheme (core/scheme.hpp),
+// and resolve `kAuto` through tuner::resolve_auto, as the Engine does.
 #pragma once
 
 #include <vector>
@@ -24,13 +25,15 @@
 #include "core/engine.hpp"
 #include "core/masked_spgemm.hpp"
 #include "core/scheme.hpp"
+#include "core/tuner.hpp"
 #include "matrix/ops.hpp"
 
 namespace msp {
 
 /// DEPRECATED shim — prefer the Engine builder. Run one scheme planless:
 /// C = M ⊙ (A·B) (or complemented). `kAuto` resolves through the same
-/// flops-density heuristic the Engine uses.
+/// tuner::resolve_auto the Engine uses, with no profile (there is no plan,
+/// so the warm two-phase upgrade never applies).
 template <Semiring SR, class IT, class VT, class MT>
 CsrMatrix<IT, VT> run_scheme(Scheme s, const CsrMatrix<IT, VT>& a,
                              const CsrMatrix<IT, VT>& b,
@@ -40,9 +43,10 @@ CsrMatrix<IT, VT> run_scheme(Scheme s, const CsrMatrix<IT, VT>& a,
   MaskedSpgemmOptions opt;
   opt.mask_kind = kind;
   if (s == Scheme::kAuto) {
-    opt = auto_scheme_options(total_flops(a, b), m.nnz(), kind,
-                              static_cast<std::int64_t>(m.nrows),
-                              static_cast<std::int64_t>(m.ncols));
+    tuner::AutoDecision decision;
+    tuner::resolve_auto(nullptr, build_flops_histogram(row_flops(a, b)),
+                        m.nnz(), static_cast<std::int64_t>(m.nrows),
+                        static_cast<std::int64_t>(m.ncols), decision, opt);
     return masked_multiply<SR>(a, b, m, opt);
   }
   if (scheme_to_options(s, opt)) {

@@ -28,13 +28,15 @@
 //    taking `SemiringId` / `Scheme` / `IndexWidth` enums, so services and
 //    the bench harness dispatch one runtime-described configuration
 //    through one function instead of a template cross-product;
-//  * `Scheme::kAuto` as the runtime-selection seam: the documented
-//    flops-density heuristic (auto_scheme_options) by default, or the
-//    calibrated model of core/tuner.hpp when a profile is installed —
-//    `engine.tuned(profile)`, a per-call `.tuned(...)` on the builder, or
-//    the `MSP_TUNE_PROFILE` environment fallback. The tuned path picks the
-//    phase from the measured 1P/2P crossover and steers the adaptive
-//    kernel per flops bin; decisions never change results, only speed.
+//  * `Scheme::kAuto` as the runtime-selection seam, resolved by the model
+//    of core/tuner.hpp (tuner::resolve_auto). With no profile it runs over
+//    an empty grid: Heap / MSA up to 2^20 columns / Hash per flops bin, a
+//    static kernel when one route carries ≥99% of the flops, one-phase
+//    while nnz(M) bounds the flops, and two-phase once the plan holds the
+//    output structure. A profile — `engine.tuned(profile)`, a per-call
+//    `.tuned(...)` on the builder, or the `MSP_TUNE_PROFILE` environment
+//    fallback — supplies measured cells and crossover. Decisions never
+//    change results, only speed.
 //
 // Both the builder and the dyn path produce results bit-identical to the
 // pre-existing `masked_multiply` / `run_scheme` paths — the engine
@@ -157,8 +159,8 @@ class Engine {
   // --- calibrated auto-tuning ----------------------------------------------
 
   /// Install a calibrated profile (core/tuner.hpp): every subsequent
-  /// Scheme::kAuto resolution runs through the measured model instead of
-  /// the built-in heuristic, with online refinement of the phase
+  /// Scheme::kAuto resolution runs the model over the measured grid
+  /// instead of the empty one, with online refinement of the phase
   /// crossover from observed execution stats unless disabled. Fluent so a
   /// tuned engine reads `Engine().tuned(profile)`.
   Engine& tuned(tuner::TuneProfile profile, bool online_refine = true) {
@@ -169,7 +171,7 @@ class Engine {
   }
 
   /// Drop any installed profile (and suppress the environment fallback):
-  /// kAuto goes back to the zero-config heuristic.
+  /// kAuto goes back to the zero-config empty-grid model.
   Engine& untuned() {
     selector_.reset();
     env_checked_ = true;
@@ -177,7 +179,7 @@ class Engine {
   }
 
   /// The active selector: the installed profile, else a one-time lazy
-  /// load of $MSP_TUNE_PROFILE, else null (heuristic kAuto). Exposed so
+  /// load of $MSP_TUNE_PROFILE, else null (empty-grid kAuto). Exposed so
   /// layered drivers (TiledEngine) resolve kAuto through the same model.
   [[nodiscard]] tuner::TunedSelector* tuned_selector() {
     if (selector_ == nullptr && !env_checked_) {
@@ -256,7 +258,7 @@ class Engine {
   /// that the builder, multiply_dyn, and the legacy run_scheme shims all
   /// funnel into. The twelve paper schemes run plan-then-execute through
   /// the context (hinted with whatever bound-operand state is supplied);
-  /// `kAuto` resolves per call via the flops-density heuristic; the
+  /// `kAuto` resolves per call through tuner::resolve_auto; the
   /// SS-style baselines run planless with the valued-semantics reduction
   /// applied here. Throws unsupported_scheme_error for configurations the
   /// scheme cannot execute (complemented MCA).
@@ -418,46 +420,24 @@ class Engine {
     opt.mask_kind = kind;
     opt.mask_semantics = semantics;
     opt.stats = stats;
-    // The tuned decision (route table + stats sink for online refinement)
-    // must outlive the multiply below; declared at call scope.
+    // The decision (route table + stats sink for online refinement) must
+    // outlive the multiply below; declared at call scope.
     tuner::AutoDecision decision;
     tuner::TunedSelector* sel = nullptr;
     MaskedSpgemmStats refine_stats;
     if (scheme == Scheme::kAuto) {
       sel = tuner_override != nullptr ? tuner_override : tuned_selector();
-      if (sel != nullptr) {
-        // The model wants the per-row flops histogram. Count once and
-        // share the vector with the plan through the hints, so the tuned
-        // path never scans A/B more than the untuned one.
-        std::shared_ptr<const std::vector<std::int64_t>> flops = hints.flops;
-        if (flops == nullptr) {
-          flops = std::make_shared<const std::vector<std::int64_t>>(
-              row_flops(a, b));
-          hints.flops = flops;
-          any_hint = true;
-        }
-        decision = sel->decide(build_flops_histogram(*flops), m.nnz(),
-                               static_cast<std::int64_t>(m.nrows),
-                               static_cast<std::int64_t>(m.ncols), kind);
-        const MaskedSpgemmOptions& resolved = decision.use_table();
-        opt.algorithm = resolved.algorithm;
-        opt.phase = resolved.phase;
-        opt.route_table = resolved.route_table;
-        opt.exact_phase_when_cached = resolved.exact_phase_when_cached;
-        if (opt.stats == nullptr) opt.stats = &refine_stats;
-      } else {
-        std::int64_t flops_total = 0;
-        if (hints.flops != nullptr) {
-          for (std::int64_t f : *hints.flops) flops_total += f;
-        } else {
-          flops_total = total_flops(a, b);
-        }
-        const MaskedSpgemmOptions resolved = auto_scheme_options(
-            flops_total, m.nnz(), kind, static_cast<std::int64_t>(m.nrows),
-            static_cast<std::int64_t>(m.ncols));
-        opt.algorithm = resolved.algorithm;
-        opt.phase = resolved.phase;
+      // The model wants the per-row flops histogram. Count once and share
+      // the vector with the plan through the hints.
+      if (hints.flops == nullptr) {
+        hints.flops = std::make_shared<const std::vector<std::int64_t>>(
+            row_flops(a, b));
+        any_hint = true;
       }
+      tuner::resolve_auto(sel, build_flops_histogram(*hints.flops), m.nnz(),
+                          static_cast<std::int64_t>(m.nrows),
+                          static_cast<std::int64_t>(m.ncols), decision, opt);
+      if (sel != nullptr && opt.stats == nullptr) opt.stats = &refine_stats;
     } else {
       scheme_to_options(scheme, opt);
     }
@@ -504,23 +484,10 @@ class Engine {
         if (m != nullptr) mask_nnz += m->nnz();
       }
       if (!masks.empty()) mask_nnz /= masks.size();
-      if (tuner::TunedSelector* sel = tuned_selector()) {
-        decision = sel->decide(build_flops_histogram(row_flops(a, b)),
-                               mask_nnz, static_cast<std::int64_t>(a.nrows),
-                               static_cast<std::int64_t>(b.ncols), kind);
-        const MaskedSpgemmOptions& resolved = decision.use_table();
-        opt.algorithm = resolved.algorithm;
-        opt.phase = resolved.phase;
-        opt.route_table = resolved.route_table;
-        opt.exact_phase_when_cached = resolved.exact_phase_when_cached;
-      } else {
-        const MaskedSpgemmOptions resolved = auto_scheme_options(
-            total_flops(a, b), mask_nnz, kind,
-            static_cast<std::int64_t>(a.nrows),
-            static_cast<std::int64_t>(b.ncols));
-        opt.algorithm = resolved.algorithm;
-        opt.phase = resolved.phase;
-      }
+      tuner::resolve_auto(tuned_selector(),
+                          build_flops_histogram(row_flops(a, b)), mask_nnz,
+                          static_cast<std::int64_t>(a.nrows),
+                          static_cast<std::int64_t>(b.ncols), decision, opt);
     } else if (!scheme_to_options(scheme, opt)) {
       std::vector<CsrMatrix<IT, VT>> outs;
       outs.reserve(masks.size());
@@ -685,7 +652,7 @@ class Engine {
   ExecutionContext* ctx_;
   std::vector<ResultCacheEntry> result_cache_;
 
-  // Calibrated kAuto selector (null = heuristic). env_checked_ latches the
+  // Calibrated kAuto selector (null = empty grid). env_checked_ latches the
   // one-time $MSP_TUNE_PROFILE probe so unset environments cost nothing.
   std::unique_ptr<tuner::TunedSelector> selector_;
   bool env_checked_ = false;

@@ -17,7 +17,7 @@ namespace msp {
 /// Every scheme of paper §8: {MSA, Hash, MCA, Heap, HeapDot, Inner} ×
 /// {1P, 2P} plus the two SuiteSparse:GraphBLAS-style baselines, plus
 /// `kAuto` — the runtime-selection seam: not a 15th kernel but a policy
-/// that resolves to one of the twelve per call (see auto_scheme_options).
+/// that resolves per call (see tuner::resolve_auto in core/tuner.hpp).
 enum class Scheme {
   kMsa1P,
   kMsa2P,
@@ -126,10 +126,9 @@ inline void require_scheme_supports(Scheme s, MaskKind kind) {
   }
 }
 
-/// Decompose a scheme into dispatcher options (baselines return false).
-/// `kAuto` decomposes to its flops-blind fallback (the per-row adaptive
-/// kernel, one-phase); callers that know the flops should prefer
-/// auto_scheme_options for the documented density heuristic.
+/// Decompose a scheme into dispatcher options. The baselines and `kAuto`
+/// have no static decomposition and return false; the dispatch layers
+/// resolve kAuto from the call's flops through tuner::resolve_auto.
 inline bool scheme_to_options(Scheme s, MaskedSpgemmOptions& opt) {
   switch (s) {
     case Scheme::kMsa1P:
@@ -157,9 +156,6 @@ inline bool scheme_to_options(Scheme s, MaskedSpgemmOptions& opt) {
       opt.algorithm = MaskedAlgorithm::kInner;
       break;
     case Scheme::kAuto:
-      opt.algorithm = MaskedAlgorithm::kAdaptive;
-      opt.phase = MaskedPhase::kOnePhase;
-      return true;
     case Scheme::kSsDot:
     case Scheme::kSsSaxpy:
       return false;
@@ -178,45 +174,6 @@ inline bool scheme_to_options(Scheme s, MaskedSpgemmOptions& opt) {
       break;
   }
   return true;
-}
-
-/// Resolve `Scheme::kAuto` to concrete options from the flops density of
-/// the call — the seam where a learned tuning model will eventually plug
-/// in (ROADMAP "new backends" item). The current policy is a documented
-/// two-rule heuristic over the quantities the plan layer already has:
-///
-///  * algorithm: always the per-row adaptive kernel, which routes each row
-///    to MSA/Hash/Heap by its own flops (paper §9's future-work hybrid) —
-///    a per-row decision strictly finer than any whole-matrix pick;
-///  * phase: one-phase while the mask is a tight size bound — i.e. the
-///    total admitted positions do not exceed the total flops (the paper's
-///    §6 observation that 1P wins when its temporary is close to the real
-///    output) — and two-phase otherwise. For a regular mask the admitted
-///    positions are nnz(M); for a complemented mask they are
-///    nrows·ncols − nnz(M), so the complement decision is now a computed
-///    bound test rather than "always 2P": a near-full mask whose
-///    complement admits few positions correctly lands on one-phase.
-///
-/// The dimensions are taken as int64 (not an index template parameter) so
-/// every dispatch layer can call this without instantiation; the product
-/// nrows·ncols is evaluated in double to dodge int64 overflow — a
-/// threshold test needs no exactness at that magnitude.
-inline MaskedSpgemmOptions auto_scheme_options(std::int64_t total_flops,
-                                               std::size_t mask_nnz,
-                                               MaskKind kind,
-                                               std::int64_t nrows,
-                                               std::int64_t ncols) {
-  MaskedSpgemmOptions opt;
-  opt.algorithm = MaskedAlgorithm::kAdaptive;
-  const double admitted =
-      kind == MaskKind::kMask
-          ? static_cast<double>(mask_nnz)
-          : static_cast<double>(nrows) * static_cast<double>(ncols) -
-                static_cast<double>(mask_nnz);
-  const bool tight_bound = admitted <= static_cast<double>(total_flops);
-  opt.phase = tight_bound ? MaskedPhase::kOnePhase : MaskedPhase::kTwoPhase;
-  opt.mask_kind = kind;
-  return opt;
 }
 
 }  // namespace msp

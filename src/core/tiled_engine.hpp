@@ -196,25 +196,11 @@ class TiledEngine {
       // calibrated selector when one is installed.
       tuner::AutoDecision decision;
       if (scheme == Scheme::kAuto) {
-        if (tuner::TunedSelector* sel = engine_->tuned_selector()) {
-          decision = sel->decide(build_flops_histogram(*hints.flops),
-                                 ms->nnz(),
-                                 static_cast<std::int64_t>(ms->nrows),
-                                 static_cast<std::int64_t>(ms->ncols), kind);
-          const MaskedSpgemmOptions& resolved = decision.use_table();
-          opt.algorithm = resolved.algorithm;
-          opt.phase = resolved.phase;
-          opt.route_table = resolved.route_table;
-        } else {
-          std::int64_t shard_flops = 0;
-          for (std::int64_t f : *hints.flops) shard_flops += f;
-          const MaskedSpgemmOptions resolved = auto_scheme_options(
-              shard_flops, ms->nnz(), kind,
-              static_cast<std::int64_t>(ms->nrows),
-              static_cast<std::int64_t>(ms->ncols));
-          opt.algorithm = resolved.algorithm;
-          opt.phase = resolved.phase;
-        }
+        tuner::resolve_auto(engine_->tuned_selector(),
+                            build_flops_histogram(*hints.flops), ms->nnz(),
+                            static_cast<std::int64_t>(ms->nrows),
+                            static_cast<std::int64_t>(ms->ncols), decision,
+                            opt);
       } else {
         scheme_to_options(scheme, opt);
       }

@@ -1,6 +1,5 @@
-// Calibrated auto-tuning for Scheme::kAuto — the measured replacement for
-// the hand-written density heuristic in core/scheme.hpp, filling the
-// selection seam PR 4 left open (ROADMAP "measured auto-tuning" item).
+// Calibrated auto-tuning for Scheme::kAuto — the one model that resolves
+// kAuto at every dispatch layer, with or without a measured profile.
 //
 // The component has three parts:
 //
@@ -11,13 +10,15 @@
 //    result is a TuneProfile, persisted as TUNE_profile.json beside
 //    BENCH_baseline.json with a schema-versioned machine fingerprint.
 //
-//  * decide_auto() / TunedSelector: the model-driven resolution of
-//    Scheme::kAuto. Given a plan's per-row flops histogram it picks the
-//    phase from the measured crossover and fills an AdaptiveRouteTable
-//    with the measured-cheapest accumulator per flops bin — a per-row-bin
-//    choice, strictly finer than the per-call heuristic. TunedSelector
-//    additionally refines the phase crossover online from the
-//    MaskedSpgemmStats the execution layer already reports.
+//  * decide_auto() / TunedSelector / resolve_auto(): the model-driven
+//    resolution of Scheme::kAuto. Given a call's per-row flops histogram
+//    it picks the phase from the measured crossover and fills an
+//    AdaptiveRouteTable with the measured-cheapest accumulator per flops
+//    bin. With no profile installed, resolve_auto() runs the same model
+//    over an empty grid: every cell falls back to Heap / MSA up to
+//    kMsaMaxCols / Hash. TunedSelector additionally refines the phase
+//    crossover online from the MaskedSpgemmStats the execution layer
+//    already reports.
 //
 //  * JSON persistence: a minimal self-contained writer/parser (the repo
 //    deliberately has no JSON dependency), schema validation, and
@@ -134,7 +135,7 @@ struct TuneProfile {
   std::vector<std::array<TuneCell, static_cast<std::size_t>(kFlopsBins)>> grid;
 
   /// Measured 1P-vs-2P crossover: one-phase while the admitted positions
-  /// stay below crossover × total flops. The untuned heuristic is 1.0.
+  /// stay below crossover × total flops. An empty profile keeps 1.0.
   double phase_crossover = 1.0;
 
   [[nodiscard]] bool has_grid() const {
@@ -498,12 +499,11 @@ inline TuneProfile load_profile(const std::string& path,
 struct AutoDecision {
   MaskedSpgemmOptions options;
   AdaptiveRouteTable table;
-  bool tuned = false;  ///< false: heuristic fallback, table not meaningful
 
   /// Point options.route_table at this decision's table (call after the
   /// AutoDecision has reached its final storage location).
   MaskedSpgemmOptions& use_table() {
-    if (tuned) options.route_table = &table;
+    options.route_table = &table;
     return options;
   }
 };
@@ -553,17 +553,15 @@ inline std::size_t nearest_density(const TuneProfile& p, double ratio) {
 /// Resolve kAuto from the calibrated model: phase from the measured
 /// 1P/2P crossover (`crossover` is the — possibly online-refined —
 /// admitted/flops ratio below which one-phase wins), per-bin accumulator
-/// from the measured grid. Mirrors auto_scheme_options' shape so the
-/// heuristic remains the zero-config default; MSA keeps the existing
-/// ncols cache-residency guard because the calibration grid is measured
-/// at a fixed (small) ncols.
+/// from the measured grid, or from the fallback rule for cells the grid
+/// does not cover (all of them for an empty profile). MSA is capped at
+/// kMsaMaxCols because the grid is measured at a fixed (small) ncols.
 inline AutoDecision decide_auto(const TuneProfile& profile,
                                 const FlopsHistogram& hist,
                                 std::size_t mask_nnz, std::int64_t nrows,
                                 std::int64_t ncols, MaskKind kind,
                                 double crossover) {
   AutoDecision dec;
-  dec.tuned = true;
   dec.options.algorithm = MaskedAlgorithm::kAdaptive;
   dec.options.mask_kind = kind;
 
@@ -596,8 +594,9 @@ inline AutoDecision decide_auto(const TuneProfile& profile,
                            static_cast<double>(bin_rows)
                      : static_cast<double>(std::int64_t{1} << std::max(0, b - 1));
     const double ratio = admitted_per_row / std::max(avg_flops, 1.0);
-    // Heuristic fallback for unmeasured cells: the adaptive kernel's own
-    // routing rule expressed over the same quantities.
+    // Fallback for unmeasured cells: Heap when the mask admits far more
+    // positions than the row's flops, else MSA up to its width cap, else
+    // Hash.
     slot = (heap_ok && ratio >= 4.0) ? RowAlgo::kHeap
            : msa_ok                  ? RowAlgo::kMsa
                                      : RowAlgo::kHash;
@@ -713,6 +712,28 @@ class TunedSelector {
   double crossover_;
   bool refine_;
 };
+
+/// The one kAuto resolver every dispatch layer calls. `selector` is the
+/// installed calibrated model; null runs the same model with an empty
+/// profile (crossover 1.0, fallback cells only, no refinement). Copies
+/// the whole decision for the mask kind already in `opt` — algorithm,
+/// phase, route table, warm-plan two-phase upgrade — into `opt`. `dec`
+/// owns the route table and must outlive the multiply.
+inline void resolve_auto(const TunedSelector* selector,
+                         const FlopsHistogram& hist, std::size_t mask_nnz,
+                         std::int64_t nrows, std::int64_t ncols,
+                         AutoDecision& dec, MaskedSpgemmOptions& opt) {
+  static const TuneProfile kEmpty;
+  dec = selector != nullptr
+            ? selector->decide(hist, mask_nnz, nrows, ncols, opt.mask_kind)
+            : decide_auto(kEmpty, hist, mask_nnz, nrows, ncols, opt.mask_kind,
+                          kEmpty.phase_crossover);
+  const MaskedSpgemmOptions& resolved = dec.use_table();
+  opt.algorithm = resolved.algorithm;
+  opt.phase = resolved.phase;
+  opt.route_table = resolved.route_table;
+  opt.exact_phase_when_cached = resolved.exact_phase_when_cached;
+}
 
 // ---------------------------------------------------------------------------
 // Calibration.

@@ -11,7 +11,8 @@
 //    rebind changes the fingerprint, steady-state calls hash nothing;
 //  * typed errors: complemented MCA is rejected with an
 //    unsupported_scheme_error naming the scheme, on every dispatch layer;
-//  * Scheme::kAuto resolves to a correct configuration on both mask kinds.
+//  * Scheme::kAuto resolves to a correct configuration on both mask kinds,
+//    through the one resolver (tuner::resolve_auto) when no profile is set.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -186,28 +187,85 @@ TEST(EngineAuto, AutoResolvesAndMatchesBaselineBothKinds) {
 }
 
 TEST(EngineAuto, HeuristicPicksPhaseByDensityAndKind) {
+  // No profile: the one resolver runs the tuner's model over an empty
+  // grid. 100×100 output, `total_flops` spread evenly over the 100 rows.
+  const auto phase = [](std::int64_t total_flops, std::size_t mask_nnz,
+                        MaskKind kind) {
+    std::vector<std::int64_t> flops(100, total_flops / 100);
+    flops[0] += total_flops % 100;
+    MaskedSpgemmOptions opt;
+    opt.mask_kind = kind;
+    tuner::AutoDecision dec;
+    tuner::resolve_auto(nullptr, build_flops_histogram(flops), mask_nnz,
+                        /*nrows=*/100, /*ncols=*/100, dec, opt);
+    EXPECT_EQ(opt.mask_kind, kind);
+    EXPECT_TRUE(opt.exact_phase_when_cached);
+    EXPECT_EQ(opt.route_table, &dec.table);
+    return opt.phase;
+  };
   // Sparse mask, plenty of flops → tight bound → one-phase.
-  const auto tight = auto_scheme_options(/*total_flops=*/1000,
-                                         /*mask_nnz=*/100, MaskKind::kMask,
-                                         /*nrows=*/100, /*ncols=*/100);
-  EXPECT_EQ(tight.phase, MaskedPhase::kOnePhase);
-  EXPECT_EQ(tight.algorithm, MaskedAlgorithm::kAdaptive);
+  EXPECT_EQ(phase(1000, 100, MaskKind::kMask), MaskedPhase::kOnePhase);
   // Mask admits more positions than there are flops → loose bound → 2P.
-  const auto loose = auto_scheme_options(/*total_flops=*/50,
-                                         /*mask_nnz=*/1000, MaskKind::kMask,
-                                         /*nrows=*/100, /*ncols=*/100);
-  EXPECT_EQ(loose.phase, MaskedPhase::kTwoPhase);
+  EXPECT_EQ(phase(50, 1000, MaskKind::kMask), MaskedPhase::kTwoPhase);
   // Complemented masks admit nrows·ncols − nnz(M) positions: a near-full
   // mask leaves a tiny complement → tight bound → one-phase...
-  const auto comp_tight = auto_scheme_options(
-      /*total_flops=*/1000, /*mask_nnz=*/9990, MaskKind::kComplement,
-      /*nrows=*/100, /*ncols=*/100);
-  EXPECT_EQ(comp_tight.phase, MaskedPhase::kOnePhase);
+  EXPECT_EQ(phase(1000, 9990, MaskKind::kComplement),
+            MaskedPhase::kOnePhase);
   // ...while a sparse mask's complement is nearly dense → loose → 2P.
-  const auto comp_loose = auto_scheme_options(
-      /*total_flops=*/1000, /*mask_nnz=*/2, MaskKind::kComplement,
-      /*nrows=*/100, /*ncols=*/100);
-  EXPECT_EQ(comp_loose.phase, MaskedPhase::kTwoPhase);
+  EXPECT_EQ(phase(1000, 2, MaskKind::kComplement), MaskedPhase::kTwoPhase);
+}
+
+/// Wider than the adaptive kernel's 2^15 MSA default, within the
+/// resolver's 2^20 MSA cap: untuned kAuto must pick static MSA, run the
+/// cold call one-phase, and upgrade the warm bound call to a
+/// symbolic-skipped two-phase — with the bits of forced MSA-2P.
+template <class IT>
+void untuned_wide_routes_to_msa() {
+  using VT = double;
+  using SR = PlusTimes<VT>;
+  const IT n = (IT{1} << 15) + 7232;  // 40000 columns
+  // ~10 entries per A row × ~80 per B row ≈ 800 flops per row against
+  // ~160 admitted positions: a tight bound, every bin routed to MSA.
+  const auto a = random_csr<IT, VT>(96, 128, 0.08, 61);
+  const auto b = random_csr<IT, VT>(128, n, 0.002, 62);
+  const auto m = random_csr<IT, VT>(96, n, 0.004, 63);
+
+  MaskedSpgemmOptions opt;
+  tuner::AutoDecision dec;
+  tuner::resolve_auto(nullptr, build_flops_histogram(row_flops(a, b)),
+                      m.nnz(), m.nrows, m.ncols, dec, opt);
+  EXPECT_EQ(opt.algorithm, MaskedAlgorithm::kMsa);
+  EXPECT_EQ(opt.phase, MaskedPhase::kOnePhase);
+  EXPECT_TRUE(opt.exact_phase_when_cached);
+
+  Engine engine;
+  engine.untuned();
+  const auto ah = engine.bind(a);
+  const auto bh = engine.bind(b);
+  const auto mh = engine.bind(m);
+  MaskedSpgemmStats cold;
+  const auto first =
+      engine.multiply(ah, bh).mask(mh).scheme(Scheme::kAuto).stats(&cold).run();
+  EXPECT_GT(cold.bound_nnz, 0u) << "cold call runs one-phase";
+  MaskedSpgemmStats warm;
+  const auto second =
+      engine.multiply(ah, bh).mask(mh).scheme(Scheme::kAuto).stats(&warm).run();
+  EXPECT_TRUE(warm.plan_cache_hit);
+  EXPECT_TRUE(warm.symbolic_skipped) << "warm call runs two-phase";
+  EXPECT_EQ(warm.bound_nnz, 0u);
+
+  Engine forced;
+  const auto msa2p =
+      forced.multiply(a, b).mask(m).scheme(Scheme::kMsa2P).run();
+  const auto expected = baseline_dot<SR>(a, b, m, MaskKind::kMask);
+  EXPECT_TRUE(csr_equal(expected, msa2p));
+  EXPECT_TRUE(csr_equal(msa2p, first));
+  EXPECT_TRUE(csr_equal(msa2p, second));
+}
+
+TEST(EngineAuto, UntunedWideMatrixRoutesToMsaAndWarmsToTwoPhase) {
+  untuned_wide_routes_to_msa<int>();
+  untuned_wide_routes_to_msa<std::int64_t>();
 }
 
 TEST(EngineAuto, AutoIsExcludedFromRegistryLists) {

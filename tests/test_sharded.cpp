@@ -102,8 +102,8 @@ StoreDraw draw_store(Xoshiro256& rng, std::size_t total_bytes) {
 }
 
 /// The monolithic plan/execute reference: ExecutionContext::multiply for
-/// the twelve planful schemes (and kAuto's decomposition), the Engine
-/// baseline path for SS:DOT / SS:SAXPY.
+/// the twelve planful schemes, the Engine path for kAuto and SS:DOT /
+/// SS:SAXPY.
 template <class IT>
 CsrMatrix<IT, double> context_reference(Scheme scheme,
                                         const CsrMatrix<IT, double>& a,

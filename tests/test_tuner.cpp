@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/tiled_engine.hpp"
 #include "core/tuner.hpp"
 #include "test_support.hpp"
 
@@ -137,7 +138,6 @@ TEST(DecideAuto, RouteTableFollowsMeasuredCosts) {
         tuner::decide_auto(force_algo_profile(algo), hist, /*mask_nnz=*/300,
                            /*nrows=*/100, /*ncols=*/100, MaskKind::kMask,
                            /*crossover=*/1.0);
-    EXPECT_TRUE(dec.tuned);
     EXPECT_EQ(dec.table.route[3], algo);
   }
   // Validity guards override measured costs: Heap cannot serve a
@@ -254,6 +254,37 @@ void expect_tuned_auto_bit_identical() {
       }
     }
   }
+}
+
+/// Warm tuned kAuto through a TiledEngine must get the same two-phase
+/// upgrade the Engine gives: every shard's plan holds the output structure
+/// after the first call, so the second call skips its symbolic passes.
+TEST(EngineTuned, TiledWarmCallSkipsSymbolicPerShard) {
+  const auto a = random_csr<int, double>(60, 50, 0.08, 111);
+  const auto b = random_csr<int, double>(50, 40, 0.12, 112);
+  const auto m = random_csr<int, double>(60, 40, 0.20, 113);
+  const ShardedMatrix<int, double> a_sh(a, 3);
+  const ShardedMatrix<int, double> m_sh(m, a_sh);
+  TiledEngine tiled;
+  // Crossover 1e6: every shard's cold call runs one-phase.
+  tiled.engine().tuned(force_algo_profile(RowAlgo::kHash, 1e6),
+                       /*online_refine=*/false);
+  MaskedSpgemmStats cold;
+  const auto first = tiled.multiply<PlusTimes<double>>(
+      Scheme::kAuto, a_sh, b, m_sh, MaskKind::kMask,
+      MaskSemantics::kStructural, &cold);
+  EXPECT_FALSE(cold.symbolic_skipped);
+  EXPECT_GT(cold.bound_nnz, 0u);
+  MaskedSpgemmStats warm;
+  const auto second = tiled.multiply<PlusTimes<double>>(
+      Scheme::kAuto, a_sh, b, m_sh, MaskKind::kMask,
+      MaskSemantics::kStructural, &warm);
+  EXPECT_TRUE(warm.plan_cache_hit);
+  EXPECT_TRUE(warm.symbolic_skipped) << "every shard runs warm two-phase";
+  EXPECT_EQ(warm.bound_nnz, 0u);
+  EXPECT_TRUE(csr_equal(first, second));
+  EXPECT_TRUE(csr_equal(
+      baseline_dot<PlusTimes<double>>(a, b, m, MaskKind::kMask), first));
 }
 
 TEST(EngineTuned, KAutoBitIdenticalInt) {
