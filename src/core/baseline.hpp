@@ -109,21 +109,48 @@ class BaselineDotKernel {
 }  // namespace detail
 
 /// SS:DOT-style baseline: per-call transpose of B + unoptimized two-phase
-/// dot products driven by the mask.
+/// dot products driven by the mask. As the conformance oracle it runs its
+/// own count → prefix sum → fill loop over every row, not the library's
+/// phase drivers, so a driver bug cannot appear on both sides of an oracle
+/// comparison.
 template <Semiring SR, class IT, class VT, class MT>
 CsrMatrix<IT, VT> baseline_dot(const CsrMatrix<IT, VT>& a,
                                const CsrMatrix<IT, VT>& b,
                                const CsrMatrix<IT, MT>& m,
-                               MaskKind kind = MaskKind::kMask,
-                               int chunk_rows = 64) {
+                               MaskKind kind = MaskKind::kMask) {
   detail::validate_shapes(a.nrows, a.ncols, b.nrows, b.ncols, m);
   const CscMatrix<IT, VT> b_csc = csr_to_csc(b);  // paid on every call
   const bool complemented = kind == MaskKind::kComplement;
-  auto factory = [&](int) {
-    return detail::BaselineDotKernel<SR, IT, VT, MT>(a, b_csc, m,
-                                                     complemented);
-  };
-  return detail::run_two_phase<IT, VT>(m.nrows, b.ncols, factory, chunk_rows);
+  using K = detail::BaselineDotKernel<SR, IT, VT, MT>;
+  std::vector<IT> counts(static_cast<std::size_t>(m.nrows), 0);
+#pragma omp parallel
+  {
+    K kernel(a, b_csc, m, complemented);
+#pragma omp for schedule(dynamic, 64)
+    for (IT i = 0; i < m.nrows; ++i) {
+      counts[static_cast<std::size_t>(i)] = kernel.symbolic_row(i);
+    }
+  }
+  const IT total = exclusive_prefix_sum(counts);
+  CsrMatrix<IT, VT> out(m.nrows, b.ncols);
+  out.colids.resize(static_cast<std::size_t>(total));
+  out.values.resize(static_cast<std::size_t>(total));
+  for (IT i = 0; i < m.nrows; ++i) out.rowptr[i] = counts[i];
+  out.rowptr[m.nrows] = total;
+#pragma omp parallel
+  {
+    K kernel(a, b_csc, m, complemented);
+#pragma omp for schedule(dynamic, 64)
+    for (IT i = 0; i < m.nrows; ++i) {
+      const IT written =
+          kernel.numeric_row(i, out.colids.data() + out.rowptr[i],
+                             out.values.data() + out.rowptr[i]);
+      MSP_ASSERT(written == out.rowptr[i + 1] - out.rowptr[i]);
+      (void)written;
+    }
+  }
+  MSP_ASSERT(out.check_structure());
+  return out;
 }
 
 /// SS:SAXPY-style baseline: unmasked Gustavson SpGEMM, then a separate mask
@@ -132,10 +159,9 @@ template <Semiring SR, class IT, class VT, class MT>
 CsrMatrix<IT, VT> baseline_saxpy(const CsrMatrix<IT, VT>& a,
                                  const CsrMatrix<IT, VT>& b,
                                  const CsrMatrix<IT, MT>& m,
-                                 MaskKind kind = MaskKind::kMask,
-                                 int chunk_rows = 64) {
+                                 MaskKind kind = MaskKind::kMask) {
   detail::validate_shapes(a.nrows, a.ncols, b.nrows, b.ncols, m);
-  CsrMatrix<IT, VT> full = multiply<SR>(a, b, chunk_rows);
+  CsrMatrix<IT, VT> full = multiply<SR>(a, b);
   if (kind == MaskKind::kMask) {
     // Keep product entries whose position exists in the mask.
     CsrMatrix<IT, VT> mask_ones(m.nrows, m.ncols);

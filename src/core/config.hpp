@@ -180,10 +180,6 @@ struct MaskedSpgemmOptions {
   MaskedAlgorithm algorithm = MaskedAlgorithm::kMsa;
   MaskedPhase phase = MaskedPhase::kOnePhase;
   MaskKind mask_kind = MaskKind::kMask;
-  /// OpenMP dynamic-schedule chunk (rows per work unit) for the planless
-  /// path. 0 (the default) derives the chunk from rows/threads; plan-based
-  /// execution uses the plan's flops-binned partition instead.
-  int chunk_rows = 0;
   /// Override the heap kernel's NInspect (paper §5.5): -1 keeps the
   /// algorithm's default (1 for kHeap, ∞ for kHeapDot); 0/1/... force a
   /// value. Used by the NInspect ablation benchmark.

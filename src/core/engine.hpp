@@ -477,15 +477,19 @@ class Engine {
     opt.mask_semantics = semantics;
     opt.stats = stats;
     tuner::AutoDecision decision;  // outlives the batch multiply below
+    SpgemmOperandHints<IT, VT> hints;
     if (scheme == Scheme::kAuto) {
       // One routing decision for the whole batch, from the average mask.
+      // The model's flops are counted once and shared with the plans.
       std::size_t mask_nnz = 0;
       for (const CsrMatrix<IT, MT>* m : masks) {
         if (m != nullptr) mask_nnz += m->nnz();
       }
       if (!masks.empty()) mask_nnz /= masks.size();
+      hints.flops =
+          std::make_shared<const std::vector<std::int64_t>>(row_flops(a, b));
       tuner::resolve_auto(tuned_selector(),
-                          build_flops_histogram(row_flops(a, b)), mask_nnz,
+                          build_flops_histogram(*hints.flops), mask_nnz,
                           static_cast<std::int64_t>(a.nrows),
                           static_cast<std::int64_t>(b.ncols), decision, opt);
     } else if (!scheme_to_options(scheme, opt)) {
@@ -497,7 +501,7 @@ class Engine {
       }
       return outs;
     }
-    return ctx_->multiply_batch<SR>(a, b, masks, opt);
+    return ctx_->multiply_batch<SR>(a, b, masks, opt, &hints);
   }
 
   // --- type-erased runtime path -------------------------------------------

@@ -11,9 +11,9 @@
 //    MSA kernel's O(ncols) dense arrays, the hash kernel's warmed-up slot
 //    table, the heap and MCA arrays — allocated once per thread instead of
 //    once per call;
-//  * a small cache of batched (mask, row) work-item partitions, so a
-//    service replaying the same multi-mask batch skips the global
-//    partition rebuild too.
+//  * a small cache of multi-mask (mask, row) work-item partitions, so a
+//    service replaying the same batch skips the global partition rebuild
+//    too (a single mask's partition lives in its plan).
 //
 // `multiply` is the plan-then-execute counterpart of `masked_multiply`; it
 // produces bit-identical results (the conformance suite pins both to the
@@ -21,9 +21,12 @@
 // single call — bit-identical to N sequential `multiply` calls, but A and B
 // are fingerprinted once, the per-row flops vector and B's CSC transpose
 // are shared across all N plans, and one global flops-binned partition over
-// (mask, row) work items load-balances the whole batch. An ExecutionContext
-// must not be shared by concurrent callers — it is designed for one caller
-// issuing a stream of multiplies, each of which parallelizes internally.
+// (mask, row) work items load-balances the whole batch. Both run through
+// one execution core, one kernel switch and the same two phase drivers
+// (core/masked_spgemm.hpp): a single multiply is a batch of one. An
+// ExecutionContext must not be shared by concurrent callers — it is
+// designed for one caller issuing a stream of multiplies, each of which
+// parallelizes internally.
 #pragma once
 
 #include <algorithm>
@@ -140,72 +143,21 @@ class ExecutionContext {
     fp_transform_ = fn;
   }
 
-  /// Fetch (or build) the plan for the given operands/configuration. The
-  /// returned reference stays valid until `max_plans` later misses evict
-  /// it or clear() is called; the common usage is within one multiply.
-  /// `hints` (see plan.hpp) carries operand state precomputed by the
-  /// caller — fingerprints that skip the per-call hash, a shared flops
-  /// vector threaded into any plan built here; every hint is optional and
-  /// missing pieces are derived exactly as an unhinted call would.
+  /// Fetch (or build) the plan a multiply with these operands and
+  /// configuration executes (unhinted keys). The returned reference stays
+  /// valid until `max_plans` later misses evict it or clear() is called.
   template <class IT, class VT, class MT>
-  SpgemmPlan<IT, VT, MT>& plan_for(
-      const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
-      const CsrMatrix<IT, MT>& m, MaskKind kind, MaskSemantics semantics,
-      bool* cache_hit = nullptr,
-      const SpgemmOperandHints<IT, VT>* hints = nullptr) {
-    using Plan = SpgemmPlan<IT, VT, MT>;
-    // Aliased operands (ktruss: A = B = M = C; tricount: L thrice) are
-    // fingerprinted once, not three times; hinted fingerprints are not
-    // recomputed at all (they go through the same test-only transform, so
-    // hinted and unhinted calls agree on every key).
-    const bool valued = semantics == MaskSemantics::kValued;
-#if MSP_CHECKED_BUILD
-    // Hint-freshness: a hinted fingerprint without a dirty log attached
-    // claims "this is still the hash of the operand's pattern" — recount
-    // and verify. (With a dirty log the handle is in identity-fingerprint
-    // mode and the hint is deliberately not a pattern hash.) Raw values
-    // are compared, before the test-only key transform.
-    if (hints != nullptr) {
-      static constexpr const char* kSite = "ExecutionContext::plan_for";
-      if (hints->fa.has_value() && hints->a_dirty == nullptr) {
-        MSP_CHECK_HINT_FP(*hints->fa, pattern_fingerprint(a, false), "A",
-                          kSite);
-      }
-      if (hints->fb.has_value() && hints->b_dirty == nullptr) {
-        MSP_CHECK_HINT_FP(*hints->fb, pattern_fingerprint(b, false), "B",
-                          kSite);
-      }
-      if (hints->fm.has_value() && hints->m_dirty == nullptr) {
-        MSP_CHECK_HINT_FP(*hints->fm, pattern_fingerprint(m, valued), "M",
-                          kSite);
-      }
-    }
-#endif
-    const std::uint64_t fa = hints != nullptr && hints->fa.has_value()
-                                 ? transform(*hints->fa)
-                                 : fingerprint(a, false);
-    std::uint64_t fb;
-    if (hints != nullptr && hints->fb.has_value()) {
-      fb = transform(*hints->fb);
-    } else if (&b == &a) {
-      fb = fa;
-    } else {
-      fb = fingerprint(b, false);
-    }
-    const std::uint64_t fm = hints != nullptr && hints->fm.has_value()
-                                 ? transform(*hints->fm)
-                                 : mask_fingerprint(a, b, m, fa, fb, valued);
-    const PlanKey key{fa,
-                      fb,
-                      fm,
-                      static_cast<int>(kind),
-                      static_cast<int>(semantics),
-                      std::type_index(typeid(Plan))};
-    std::shared_ptr<const std::vector<std::int64_t>> shared_flops =
-        hints != nullptr ? hints->flops : nullptr;
-    return *acquire_plan<IT, VT, MT>(key, a, b, m, kind, semantics, cache_hit,
-                                     shared_flops != nullptr ? &shared_flops
-                                                             : nullptr);
+  SpgemmPlan<IT, VT, MT>& plan_for(const CsrMatrix<IT, VT>& a,
+                                   const CsrMatrix<IT, VT>& b,
+                                   const CsrMatrix<IT, MT>& m, MaskKind kind,
+                                   MaskSemantics semantics) {
+    const std::uint64_t fa = fingerprint(a, false);
+    const std::uint64_t fb = &b == &a ? fa : fingerprint(b, false);
+    const std::uint64_t fm = mask_fingerprint(
+        a, b, m, fa, fb, semantics == MaskSemantics::kValued);
+    return *acquire_plan<IT, VT, MT>(
+        plan_key<IT, VT, MT>(fa, fb, fm, kind, semantics), a, b, m, kind,
+        semantics, nullptr, nullptr);
   }
 
   /// Per-thread scratch of any default-constructible type, created on
@@ -238,8 +190,9 @@ class ExecutionContext {
   /// calls on unchanged operand patterns reuse the cached plan (values
   /// may differ — they are re-read from the operands every call).
   /// `hints` lets bound-operand callers (core/engine.hpp) supply cached
-  /// fingerprints / flops / transpose state; results are bit-identical
-  /// with or without hints.
+  /// fingerprints / flops / transpose state / dirty logs; results are
+  /// bit-identical with or without hints. Runs as a batch of one mask,
+  /// which is not counted as a batch call.
   template <Semiring SR, class IT, class VT, class MT>
   CsrMatrix<IT, VT> multiply(const CsrMatrix<IT, VT>& a,
                              const CsrMatrix<IT, VT>& b,
@@ -247,126 +200,7 @@ class ExecutionContext {
                              const MaskedSpgemmOptions& opt = {},
                              const SpgemmOperandHints<IT, VT>* hints =
                                  nullptr) {
-    detail::validate_shapes(a.nrows, a.ncols, b.nrows, b.ncols, m);
-    const bool complemented = opt.mask_kind == MaskKind::kComplement;
-    if (complemented && opt.algorithm == MaskedAlgorithm::kMca) {
-      throw invalid_argument_error("MCA does not support complemented masks");
-    }
-
-    Timer plan_timer;
-    bool hit = false;
-    auto& plan = plan_for<IT, VT, MT>(a, b, m, opt.mask_kind,
-                                      opt.mask_semantics, &hit, hints);
-    // Catch the plan up with any structure_changed mutations before a
-    // single artifact is consumed: a hit on an evolving operand refreshes
-    // exactly the dirty row blocks (and a plan that cannot tell how stale
-    // it is refreshes everything) instead of being evicted.
-    const std::size_t rows_refreshed =
-        plan.sync(a, b, m, !hit,
-                  hints != nullptr ? hints->a_dirty : nullptr,
-                  hints != nullptr ? hints->b_dirty : nullptr,
-                  hints != nullptr ? hints->m_dirty : nullptr);
-    if (rows_refreshed > 0) {
-      ++stats_.plan_partial_refreshes;
-      stats_.plan_rows_refreshed += rows_refreshed;
-    }
-    // The plan is now claimed to be consistent with these operands —
-    // the boundary where every artifact accessor below starts trusting it.
-    MSP_CHECK_PLAN(plan, a, b, m, "ExecutionContext::multiply");
-    const CsrMatrix<IT, MT>& mm = plan.effective_mask(m);
-    const RowPartition<IT>& partition = plan.ensure_partition(max_threads());
-    // Warm-plan phase upgrade (tuned kAuto): with the output structure
-    // already exported into the plan, two-phase is pure exact numeric.
-    const MaskedPhase phase =
-        opt.exact_phase_when_cached && plan.has_structure()
-            ? MaskedPhase::kTwoPhase
-            : opt.phase;
-    const std::vector<std::size_t>* ub = nullptr;
-    if (phase == MaskedPhase::kOnePhase) ub = &plan.ensure_bounds(m);
-    const CscMatrix<IT, VT>* b_csc = nullptr;
-    if (opt.algorithm == MaskedAlgorithm::kInner) {
-      if (hints != nullptr && hints->b_csc != nullptr) {
-        plan.adopt_csc(hints->b_csc);
-      }
-      b_csc = &plan.ensure_b_csc(
-          b, hints != nullptr ? hints->b_values_version : 0);
-    }
-    prepare_threads(max_threads());
-    const double plan_seconds = plan_timer.seconds();
-    stats_.plan_seconds += plan_seconds;
-    if (opt.stats != nullptr) {
-      opt.stats->plan_seconds = plan_seconds;
-      opt.stats->plan_cache_hit = hit;
-      opt.stats->symbolic_skipped = false;
-      opt.stats->total_flops = plan.total_flops();
-      opt.stats->plan_rows_refreshed = rows_refreshed;
-    }
-
-    // First execution of either phase exports the output row structure
-    // into the plan so later two-phase runs skip their symbolic pass.
-    const std::vector<IT>* cached_rowptr =
-        plan.has_structure() ? &plan.structure_rowptr() : nullptr;
-    std::vector<IT>* sink = plan.structure_sink();
-
-    auto run = [&](auto&& factory) {
-      if (phase == MaskedPhase::kOnePhase) {
-        return detail::run_one_phase<IT, VT>(m.nrows, b.ncols, *ub, factory,
-                                             opt.chunk_rows, opt.stats,
-                                             &partition, sink);
-      }
-      return detail::run_two_phase<IT, VT>(m.nrows, b.ncols, factory,
-                                           opt.chunk_rows, opt.stats,
-                                           &partition, cached_rowptr, sink);
-    };
-
-    switch (opt.algorithm) {
-      case MaskedAlgorithm::kMsa: {
-        using K = MsaKernel<SR, IT, VT, MT>;
-        return run([&](int tid) {
-          return K(a, b, mm, complemented,
-                   &scratch<typename K::Scratch>(tid));
-        });
-      }
-      case MaskedAlgorithm::kHash: {
-        using K = HashKernel<SR, IT, VT, MT>;
-        return run([&](int tid) {
-          return K(a, b, mm, complemented,
-                   &scratch<typename K::Scratch>(tid));
-        });
-      }
-      case MaskedAlgorithm::kMca: {
-        using K = McaKernel<SR, IT, VT, MT>;
-        return run([&](int tid) {
-          return K(a, b, mm, complemented,
-                   &scratch<typename K::Scratch>(tid));
-        });
-      }
-      case MaskedAlgorithm::kHeap:
-      case MaskedAlgorithm::kHeapDot: {
-        using K = HeapKernel<SR, IT, VT, MT>;
-        const long fallback =
-            opt.algorithm == MaskedAlgorithm::kHeap ? 1 : kInspectAll;
-        const long inspect =
-            opt.heap_n_inspect >= 0 ? opt.heap_n_inspect : fallback;
-        return run([&, inspect](int tid) {
-          return K(a, b, mm, complemented, inspect,
-                   &scratch<typename K::Scratch>(tid));
-        });
-      }
-      case MaskedAlgorithm::kInner: {
-        using K = InnerKernel<SR, IT, VT, MT>;
-        return run([&](int) { return K(a, *b_csc, mm, complemented); });
-      }
-      case MaskedAlgorithm::kAdaptive: {
-        using K = AdaptiveKernel<SR, IT, VT, MT>;
-        return run([&](int tid) {
-          return K(a, b, mm, complemented,
-                   typename K::Policy{.table = opt.route_table},
-                   plan.flops().data(), &scratch<typename K::Scratch>(tid));
-        });
-      }
-    }
-    throw invalid_argument_error("ExecutionContext: unknown algorithm");
+    return std::move(execute<SR, IT, VT, MT>(a, b, {&m}, opt, hints).front());
   }
 
   /// Batched multi-mask Masked SpGEMM: Cq = Mq ⊙ (A·B) (or ¬Mq ⊙ (A·B))
@@ -376,7 +210,8 @@ class ExecutionContext {
   ///  * A and B are fingerprinted once (and each distinct mask object
   ///    once), not once per mask;
   ///  * plans missing from the cache are constructed from one shared
-  ///    per-row flops vector and, for the Inner algorithm, one shared CSC
+  ///    per-row flops vector (`hints->flops` when the caller already
+  ///    counted it) and, for the Inner algorithm, one shared CSC
   ///    transpose of B;
   ///  * execution runs over one global flops-binned partition of
   ///    (mask, row) work items, so a batch of skewed masks load-balances
@@ -391,216 +226,13 @@ class ExecutionContext {
   std::vector<CsrMatrix<IT, VT>> multiply_batch(
       const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
       const std::vector<const CsrMatrix<IT, MT>*>& masks,
-      const MaskedSpgemmOptions& opt = {}) {
-    using Plan = SpgemmPlan<IT, VT, MT>;
-    std::vector<CsrMatrix<IT, VT>> outs;
-    const int n = static_cast<int>(masks.size());
-    if (n == 0) return outs;
-    const bool complemented = opt.mask_kind == MaskKind::kComplement;
-    if (complemented && opt.algorithm == MaskedAlgorithm::kMca) {
-      throw invalid_argument_error("MCA does not support complemented masks");
-    }
-    for (const auto* m : masks) {
-      if (m == nullptr) {
-        throw invalid_argument_error("multiply_batch: null mask");
-      }
-      detail::validate_shapes(a.nrows, a.ncols, b.nrows, b.ncols, *m);
-    }
-
-    Timer plan_timer;
+      const MaskedSpgemmOptions& opt = {},
+      const SpgemmOperandHints<IT, VT>* hints = nullptr) {
+    if (masks.empty()) return {};
+    auto outs = execute<SR, IT, VT, MT>(a, b, masks, opt, hints);
     ++stats_.batch_calls;
-    stats_.batch_masks += static_cast<std::size_t>(n);
-    const bool valued = opt.mask_semantics == MaskSemantics::kValued;
-    const std::uint64_t fa = fingerprint(a, false);
-    const std::uint64_t fb = &b == &a ? fa : fingerprint(b, false);
-
-    // Mask fingerprints, memoized by address so aliased masks hash once.
-    std::vector<std::uint64_t> fm(static_cast<std::size_t>(n));
-    std::unordered_map<const void*, std::uint64_t> fm_memo;
-    for (int q = 0; q < n; ++q) {
-      const void* addr = static_cast<const void*>(masks[q]);
-      const auto it = fm_memo.find(addr);
-      if (it != fm_memo.end()) {
-        fm[static_cast<std::size_t>(q)] = it->second;
-        continue;
-      }
-      fm[static_cast<std::size_t>(q)] =
-          mask_fingerprint(a, b, *masks[q], fa, fb, valued);
-      fm_memo.emplace(addr, fm[static_cast<std::size_t>(q)]);
-    }
-
-    // Acquire (or build) all plans, holding shared ownership so that FIFO
-    // eviction triggered by later misses in this very batch cannot free a
-    // plan the batch still executes. Missing plans are constructed from
-    // the batch-shared flops vector — A·B is counted at most once.
-    std::vector<std::shared_ptr<Plan>> plans(static_cast<std::size_t>(n));
-    std::shared_ptr<const std::vector<std::int64_t>> flops;
-    std::vector<PlanKey> keys;
-    keys.reserve(static_cast<std::size_t>(n));
-    bool all_hits = true;
-    for (int q = 0; q < n; ++q) {
-      keys.push_back(PlanKey{fa,
-                             fb,
-                             fm[static_cast<std::size_t>(q)],
-                             static_cast<int>(opt.mask_kind),
-                             static_cast<int>(opt.mask_semantics),
-                             std::type_index(typeid(Plan))});
-      bool hit = false;
-      plans[static_cast<std::size_t>(q)] = acquire_plan<IT, VT, MT>(
-          keys.back(), a, b, *masks[q], opt.mask_kind, opt.mask_semantics,
-          &hit, &flops);
-      MSP_CHECK_PLAN(*plans[static_cast<std::size_t>(q)], a, b, *masks[q],
-                     "ExecutionContext::multiply_batch");
-      all_hits = all_hits && hit;
-    }
-
-    std::vector<const CsrMatrix<IT, MT>*> eff(static_cast<std::size_t>(n));
-    for (int q = 0; q < n; ++q) {
-      eff[static_cast<std::size_t>(q)] =
-          &plans[static_cast<std::size_t>(q)]->effective_mask(*masks[q]);
-    }
-
-    // One global flops-binned partition over (mask, row) items, cached per
-    // exact key sequence so a replayed batch skips the rebuild. Under a
-    // regular mask, rows whose effective mask row is empty are provably
-    // empty in the output and excluded outright.
-    const BatchRowPartition<IT>& partition = batch_partition_for<IT>(
-        keys, max_threads(), *flops, [&](std::int32_t q, IT i) {
-          return complemented ||
-                 eff[static_cast<std::size_t>(q)]->row_nnz(i) > 0;
-        });
-
-    // Warm-plan phase upgrade (tuned kAuto), batch form: only when every
-    // mask's plan already carries the exact structure — the phase is
-    // global to the batch, and a single cold mask would otherwise pay an
-    // unamortized symbolic pass.
-    bool all_structured = opt.exact_phase_when_cached;
-    for (int q = 0; all_structured && q < n; ++q) {
-      all_structured = plans[static_cast<std::size_t>(q)]->has_structure();
-    }
-    const MaskedPhase phase =
-        all_structured ? MaskedPhase::kTwoPhase : opt.phase;
-    std::vector<const std::vector<std::size_t>*> ub(
-        static_cast<std::size_t>(n), nullptr);
-    if (phase == MaskedPhase::kOnePhase) {
-      for (int q = 0; q < n; ++q) {
-        ub[static_cast<std::size_t>(q)] =
-            &plans[static_cast<std::size_t>(q)]->ensure_bounds(*masks[q]);
-      }
-    }
-    std::vector<const CscMatrix<IT, VT>*> b_cscs(static_cast<std::size_t>(n),
-                                                 nullptr);
-    if (opt.algorithm == MaskedAlgorithm::kInner) {
-      // One transpose for the whole batch: reuse any plan's existing
-      // cache, inject it into plans without one, then build/refresh each
-      // *distinct* cache exactly once (hit plans that already built their
-      // own keep it — it is just as valid for this B).
-      std::shared_ptr<CscTransposeCache<IT, VT>> shared;
-      for (int q = 0; q < n && shared == nullptr; ++q) {
-        shared = plans[static_cast<std::size_t>(q)]->csc_cache();
-      }
-      if (shared == nullptr) {
-        shared = std::make_shared<CscTransposeCache<IT, VT>>();
-      }
-      std::vector<const void*> refreshed;
-      for (int q = 0; q < n; ++q) {
-        Plan& plan = *plans[static_cast<std::size_t>(q)];
-        plan.adopt_csc(shared);
-        CscTransposeCache<IT, VT>* cache = plan.csc_cache().get();
-        if (std::find(refreshed.begin(), refreshed.end(),
-                      static_cast<const void*>(cache)) == refreshed.end()) {
-          cache->ensure_structure(b);
-          cache->refresh_values(b);
-          cache->fresh_for_version = 0;  // batch path carries no version
-          refreshed.push_back(cache);
-        }
-        b_cscs[static_cast<std::size_t>(q)] = &cache->csc;
-      }
-    }
-    prepare_threads(max_threads());
-    const double plan_seconds = plan_timer.seconds();
-    stats_.plan_seconds += plan_seconds;
-    if (opt.stats != nullptr) {
-      opt.stats->plan_seconds = plan_seconds;
-      opt.stats->plan_cache_hit = all_hits;
-      opt.stats->symbolic_skipped = false;
-      opt.stats->total_flops = plans[0]->total_flops();
-    }
-
-    std::vector<const std::vector<IT>*> cached(static_cast<std::size_t>(n),
-                                               nullptr);
-    std::vector<std::vector<IT>*> sinks(static_cast<std::size_t>(n), nullptr);
-    for (int q = 0; q < n; ++q) {
-      Plan& plan = *plans[static_cast<std::size_t>(q)];
-      if (plan.has_structure()) {
-        cached[static_cast<std::size_t>(q)] = &plan.structure_rowptr();
-      }
-      sinks[static_cast<std::size_t>(q)] = plan.structure_sink();
-    }
-
-    const IT nrows = masks[0]->nrows;
-    auto run = [&](auto&& factory) {
-      if (phase == MaskedPhase::kOnePhase) {
-        return detail::run_batch_one_phase<IT, VT>(
-            nrows, b.ncols, ub, factory, partition, sinks, opt.stats);
-      }
-      return detail::run_batch_two_phase<IT, VT>(nrows, b.ncols, n, factory,
-                                                 partition, cached, sinks,
-                                                 opt.stats);
-    };
-
-    switch (opt.algorithm) {
-      case MaskedAlgorithm::kMsa: {
-        using K = MsaKernel<SR, IT, VT, MT>;
-        return run([&](int tid, int q) {
-          return K(a, b, *eff[static_cast<std::size_t>(q)], complemented,
-                   &scratch<typename K::Scratch>(tid));
-        });
-      }
-      case MaskedAlgorithm::kHash: {
-        using K = HashKernel<SR, IT, VT, MT>;
-        return run([&](int tid, int q) {
-          return K(a, b, *eff[static_cast<std::size_t>(q)], complemented,
-                   &scratch<typename K::Scratch>(tid));
-        });
-      }
-      case MaskedAlgorithm::kMca: {
-        using K = McaKernel<SR, IT, VT, MT>;
-        return run([&](int tid, int q) {
-          return K(a, b, *eff[static_cast<std::size_t>(q)], complemented,
-                   &scratch<typename K::Scratch>(tid));
-        });
-      }
-      case MaskedAlgorithm::kHeap:
-      case MaskedAlgorithm::kHeapDot: {
-        using K = HeapKernel<SR, IT, VT, MT>;
-        const long fallback =
-            opt.algorithm == MaskedAlgorithm::kHeap ? 1 : kInspectAll;
-        const long inspect =
-            opt.heap_n_inspect >= 0 ? opt.heap_n_inspect : fallback;
-        return run([&, inspect](int tid, int q) {
-          return K(a, b, *eff[static_cast<std::size_t>(q)], complemented,
-                   inspect, &scratch<typename K::Scratch>(tid));
-        });
-      }
-      case MaskedAlgorithm::kInner: {
-        using K = InnerKernel<SR, IT, VT, MT>;
-        return run([&](int, int q) {
-          return K(a, *b_cscs[static_cast<std::size_t>(q)],
-                   *eff[static_cast<std::size_t>(q)], complemented);
-        });
-      }
-      case MaskedAlgorithm::kAdaptive: {
-        using K = AdaptiveKernel<SR, IT, VT, MT>;
-        return run([&](int tid, int q) {
-          return K(a, b, *eff[static_cast<std::size_t>(q)], complemented,
-                   typename K::Policy{.table = opt.route_table},
-                   plans[static_cast<std::size_t>(q)]->flops().data(),
-                   &scratch<typename K::Scratch>(tid));
-        });
-      }
-    }
-    throw invalid_argument_error("ExecutionContext: unknown algorithm");
+    stats_.batch_masks += masks.size();
+    return outs;
   }
 
   /// Convenience overload taking the masks by value-container.
@@ -616,6 +248,266 @@ class ExecutionContext {
   }
 
  private:
+  /// The one execution path behind multiply and multiply_batch: N ≥ 1
+  /// masks against one A·B, planned, partitioned and run through the
+  /// phase drivers. The mask fields of `hints` are read only when N = 1.
+  template <Semiring SR, class IT, class VT, class MT>
+  std::vector<CsrMatrix<IT, VT>> execute(
+      const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
+      const std::vector<const CsrMatrix<IT, MT>*>& masks,
+      const MaskedSpgemmOptions& opt,
+      const SpgemmOperandHints<IT, VT>* hints) {
+    using Plan = SpgemmPlan<IT, VT, MT>;
+    const std::size_t n = masks.size();
+    const bool complemented = opt.mask_kind == MaskKind::kComplement;
+    if (complemented && opt.algorithm == MaskedAlgorithm::kMca) {
+      throw invalid_argument_error("MCA does not support complemented masks");
+    }
+    for (const auto* m : masks) {
+      if (m == nullptr) {
+        throw invalid_argument_error("multiply_batch: null mask");
+      }
+      detail::validate_shapes(a.nrows, a.ncols, b.nrows, b.ncols, *m);
+    }
+
+    Timer plan_timer;
+    const SpgemmOperandHints<IT, VT> unhinted;
+    const SpgemmOperandHints<IT, VT>& h = hints != nullptr ? *hints : unhinted;
+    const bool single = n == 1;
+    const bool valued = opt.mask_semantics == MaskSemantics::kValued;
+#if MSP_CHECKED_BUILD
+    // Hint-freshness: a hinted fingerprint without a dirty log attached
+    // claims "this is still the hash of the operand's pattern" — recount
+    // and verify. (With a dirty log the handle is in identity-fingerprint
+    // mode and the hint is deliberately not a pattern hash.) Raw values
+    // are compared, before the test-only key transform.
+    {
+      static constexpr const char* kSite = "ExecutionContext::multiply";
+      if (h.fa.has_value() && h.a_dirty == nullptr) {
+        MSP_CHECK_HINT_FP(*h.fa, pattern_fingerprint(a, false), "A", kSite);
+      }
+      if (h.fb.has_value() && h.b_dirty == nullptr) {
+        MSP_CHECK_HINT_FP(*h.fb, pattern_fingerprint(b, false), "B", kSite);
+      }
+      if (single && h.fm.has_value() && h.m_dirty == nullptr) {
+        MSP_CHECK_HINT_FP(*h.fm, pattern_fingerprint(*masks[0], valued), "M",
+                          kSite);
+      }
+    }
+#endif
+    // Aliased operands (ktruss: A = B = M = C; tricount: L thrice) are
+    // fingerprinted once; hinted fingerprints are not recomputed at all
+    // (they go through the same test-only transform, so hinted and
+    // unhinted calls agree on every key).
+    const std::uint64_t fa =
+        h.fa.has_value() ? transform(*h.fa) : fingerprint(a, false);
+    std::uint64_t fb;
+    if (h.fb.has_value()) {
+      fb = transform(*h.fb);
+    } else {
+      fb = &b == &a ? fa : fingerprint(b, false);
+    }
+    const StructureDirtyLog<IT>* m_dirty = single ? h.m_dirty : nullptr;
+
+    // Acquire (or build) every plan, holding shared ownership so that FIFO
+    // eviction triggered by later misses in this very call cannot free a
+    // plan it still executes. Missing plans are constructed from one flops
+    // vector (the hinted one, else the first plan's): A·B is counted at
+    // most once. Each plan is then caught up with any structure_changed
+    // mutations before a single artifact is consumed: a hit on an evolving
+    // operand refreshes exactly the dirty row blocks (and a plan that
+    // cannot tell how stale it is refreshes everything) instead of being
+    // evicted.
+    std::vector<std::shared_ptr<Plan>> plans(n);
+    std::vector<PlanKey> keys;
+    keys.reserve(n);
+    std::shared_ptr<const std::vector<std::int64_t>> flops = h.flops;
+    std::unordered_map<const void*, std::uint64_t> fm_memo;
+    bool all_hits = true;
+    std::size_t rows_refreshed = 0;
+    for (std::size_t q = 0; q < n; ++q) {
+      const CsrMatrix<IT, MT>& m = *masks[q];
+      // Mask fingerprints, memoized by address so aliased masks hash once.
+      std::uint64_t fm;
+      if (single && h.fm.has_value()) {
+        fm = transform(*h.fm);
+      } else {
+        const auto [it, fresh] = fm_memo.try_emplace(&m, 0);
+        if (fresh) it->second = mask_fingerprint(a, b, m, fa, fb, valued);
+        fm = it->second;
+      }
+      keys.push_back(plan_key<IT, VT, MT>(fa, fb, fm, opt.mask_kind,
+                                          opt.mask_semantics));
+      bool hit = false;
+      plans[q] = acquire_plan<IT, VT, MT>(keys.back(), a, b, m,
+                                          opt.mask_kind, opt.mask_semantics,
+                                          &hit, &flops);
+      const std::size_t refreshed =
+          plans[q]->sync(a, b, m, !hit, h.a_dirty, h.b_dirty, m_dirty);
+      if (refreshed > 0) {
+        ++stats_.plan_partial_refreshes;
+        stats_.plan_rows_refreshed += refreshed;
+        rows_refreshed += refreshed;
+        flops = plans[q]->flops_ptr();  // the recount of the current A·B
+        drop_batch_partitions(keys.back());
+      }
+      // The plan is now claimed to be consistent with these operands —
+      // the boundary where every artifact accessor below starts trusting it.
+      MSP_CHECK_PLAN(*plans[q], a, b, m, "ExecutionContext::multiply");
+      all_hits = all_hits && hit;
+    }
+
+    std::vector<const CsrMatrix<IT, MT>*> eff(n);
+    for (std::size_t q = 0; q < n; ++q) {
+      eff[q] = &plans[q]->effective_mask(*masks[q]);
+    }
+
+    // One flops-binned partition over the (mask, row) items. A single
+    // mask's lives in its plan, which sync() keeps current (identity
+    // fingerprints from a bound handle do not change on a structure
+    // update, so no key could); a batch's is cached per exact key sequence
+    // so a replayed batch skips the rebuild. Under a regular mask, rows
+    // whose effective mask row is empty are provably empty in the output
+    // and excluded outright.
+    const int n_lists = max_threads();
+    const BatchRowPartition<IT>& partition =
+        single ? plans[0]->ensure_partition(*masks[0], n_lists)
+               : batch_partition_for<IT>(
+                     keys, n_lists, *flops, [&](std::int32_t q, IT i) {
+                       return complemented ||
+                              eff[static_cast<std::size_t>(q)]->row_nnz(i) >
+                                  0;
+                     });
+
+    // Warm-plan phase upgrade (tuned kAuto): with the output structure
+    // already exported into every plan, two-phase is pure exact numeric.
+    // The phase is global to the call, so a single cold mask keeps the
+    // requested phase rather than paying an unamortized symbolic pass.
+    bool all_structured = opt.exact_phase_when_cached;
+    for (std::size_t q = 0; all_structured && q < n; ++q) {
+      all_structured = plans[q]->has_structure();
+    }
+    const MaskedPhase phase =
+        all_structured ? MaskedPhase::kTwoPhase : opt.phase;
+    std::vector<const std::vector<std::size_t>*> ub(n, nullptr);
+    if (phase == MaskedPhase::kOnePhase) {
+      for (std::size_t q = 0; q < n; ++q) {
+        ub[q] = &plans[q]->ensure_bounds(*masks[q]);
+      }
+    }
+    std::vector<const CscMatrix<IT, VT>*> b_cscs(n, nullptr);
+    if (opt.algorithm == MaskedAlgorithm::kInner) {
+      // One transpose for the whole call: the hinted (handle-owned) cache,
+      // else any plan's, injected into plans without one; then each
+      // *distinct* cache is built/refreshed exactly once (a plan that
+      // already owns one keeps it — it is just as valid for this B).
+      std::shared_ptr<CscTransposeCache<IT, VT>> shared = h.b_csc;
+      for (std::size_t q = 0; q < n && shared == nullptr; ++q) {
+        shared = plans[q]->csc_cache();
+      }
+      if (shared == nullptr) {
+        shared = std::make_shared<CscTransposeCache<IT, VT>>();
+      }
+      std::vector<const void*> refreshed;
+      for (std::size_t q = 0; q < n; ++q) {
+        Plan& plan = *plans[q];
+        plan.adopt_csc(shared);
+        const void* cache = plan.csc_cache().get();
+        if (std::find(refreshed.begin(), refreshed.end(), cache) ==
+            refreshed.end()) {
+          (void)plan.ensure_b_csc(b, h.b_values_version);
+          refreshed.push_back(cache);
+        }
+        b_cscs[q] = &plan.csc_cache()->csc;
+      }
+    }
+    prepare_threads(max_threads());
+    const double plan_seconds = plan_timer.seconds();
+    stats_.plan_seconds += plan_seconds;
+    if (opt.stats != nullptr) {
+      opt.stats->plan_seconds = plan_seconds;
+      opt.stats->plan_cache_hit = all_hits;
+      opt.stats->symbolic_skipped = false;
+      opt.stats->total_flops = plans[0]->total_flops();
+      opt.stats->plan_rows_refreshed = rows_refreshed;
+    }
+
+    // First execution of either phase exports the output row structure
+    // into the plan so later two-phase runs skip their symbolic pass.
+    std::vector<const std::vector<IT>*> cached(n, nullptr);
+    std::vector<std::vector<IT>*> sinks(n, nullptr);
+    for (std::size_t q = 0; q < n; ++q) {
+      if (plans[q]->has_structure()) cached[q] = &plans[q]->structure_rowptr();
+      sinks[q] = plans[q]->structure_sink();
+    }
+
+    const IT nrows = masks[0]->nrows;
+    auto run = [&](auto&& factory) {
+      if (phase == MaskedPhase::kOnePhase) {
+        return detail::run_batch_one_phase<IT, VT>(
+            nrows, b.ncols, ub, factory, partition, sinks, opt.stats);
+      }
+      return detail::run_batch_two_phase<IT, VT>(
+          nrows, b.ncols, factory, partition, cached, sinks, opt.stats);
+    };
+    auto mask_of = [&](int q) -> const CsrMatrix<IT, MT>& {
+      return *eff[static_cast<std::size_t>(q)];
+    };
+
+    switch (opt.algorithm) {
+      case MaskedAlgorithm::kMsa: {
+        using K = MsaKernel<SR, IT, VT, MT>;
+        return run([&](int tid, int q) {
+          return K(a, b, mask_of(q), complemented,
+                   &scratch<typename K::Scratch>(tid));
+        });
+      }
+      case MaskedAlgorithm::kHash: {
+        using K = HashKernel<SR, IT, VT, MT>;
+        return run([&](int tid, int q) {
+          return K(a, b, mask_of(q), complemented,
+                   &scratch<typename K::Scratch>(tid));
+        });
+      }
+      case MaskedAlgorithm::kMca: {
+        using K = McaKernel<SR, IT, VT, MT>;
+        return run([&](int tid, int q) {
+          return K(a, b, mask_of(q), complemented,
+                   &scratch<typename K::Scratch>(tid));
+        });
+      }
+      case MaskedAlgorithm::kHeap:
+      case MaskedAlgorithm::kHeapDot: {
+        using K = HeapKernel<SR, IT, VT, MT>;
+        const long fallback =
+            opt.algorithm == MaskedAlgorithm::kHeap ? 1 : kInspectAll;
+        const long inspect =
+            opt.heap_n_inspect >= 0 ? opt.heap_n_inspect : fallback;
+        return run([&, inspect](int tid, int q) {
+          return K(a, b, mask_of(q), complemented, inspect,
+                   &scratch<typename K::Scratch>(tid));
+        });
+      }
+      case MaskedAlgorithm::kInner: {
+        using K = InnerKernel<SR, IT, VT, MT>;
+        return run([&](int, int q) {
+          return K(a, *b_cscs[static_cast<std::size_t>(q)], mask_of(q),
+                   complemented);
+        });
+      }
+      case MaskedAlgorithm::kAdaptive: {
+        using K = AdaptiveKernel<SR, IT, VT, MT>;
+        return run([&](int tid, int q) {
+          return K(a, b, mask_of(q), complemented,
+                   typename K::Policy{.table = opt.route_table},
+                   plans[static_cast<std::size_t>(q)]->flops().data(),
+                   &scratch<typename K::Scratch>(tid));
+        });
+      }
+    }
+    throw invalid_argument_error("ExecutionContext: unknown algorithm");
+  }
+
   struct PlanKey {
     std::uint64_t fa;
     std::uint64_t fb;
@@ -642,6 +534,18 @@ class ExecutionContext {
       return static_cast<std::size_t>(h);
     }
   };
+
+  template <class IT, class VT, class MT>
+  static PlanKey plan_key(std::uint64_t fa, std::uint64_t fb,
+                          std::uint64_t fm, MaskKind kind,
+                          MaskSemantics semantics) {
+    return PlanKey{fa,
+                   fb,
+                   fm,
+                   static_cast<int>(kind),
+                   static_cast<int>(semantics),
+                   std::type_index(typeid(SpgemmPlan<IT, VT, MT>))};
+  }
 
   /// The (test-only) fingerprint post-transform, applied to every raw
   /// fingerprint — computed here or supplied through hints — before it
@@ -711,15 +615,8 @@ class ExecutionContext {
       const auto oit = std::find(order_.begin(), order_.end(), key);
       if (oit != order_.end()) order_.erase(oit);
       // Any cached batch partition involving this key was built for the
-      // mismatched operands — drop it, or a later batch over the same
-      // keys would replay a stale partition.
-      batch_parts_.erase(
-          std::remove_if(batch_parts_.begin(), batch_parts_.end(),
-                         [&](const BatchPartitionEntry& e) {
-                           return std::find(e.keys.begin(), e.keys.end(),
-                                            key) != e.keys.end();
-                         }),
-          batch_parts_.end());
+      // mismatched operands.
+      drop_batch_partitions(key);
     }
     ++stats_.plan_misses;
     if (cache_hit != nullptr) *cache_hit = false;
@@ -755,6 +652,19 @@ class ExecutionContext {
     std::shared_ptr<void> part;
   };
   static constexpr std::size_t kMaxBatchPartitions = 8;
+
+  /// Drop every cached batch partition involving `key` — its plan no
+  /// longer describes the operands the partition was built for, and a
+  /// later batch over the same keys must not replay it.
+  void drop_batch_partitions(const PlanKey& key) {
+    batch_parts_.erase(
+        std::remove_if(batch_parts_.begin(), batch_parts_.end(),
+                       [&](const BatchPartitionEntry& e) {
+                         return std::find(e.keys.begin(), e.keys.end(),
+                                          key) != e.keys.end();
+                       }),
+        batch_parts_.end());
+  }
 
   template <class IT, class Included>
   const BatchRowPartition<IT>& batch_partition_for(

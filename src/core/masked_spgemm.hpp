@@ -8,13 +8,16 @@
 //  * two-phase (2P): a symbolic pass computes exact per-row counts, a prefix
 //    sum turns them into row pointers, and the numeric pass writes in place.
 //
-// Parallelization is coarse-grained across rows (paper §3). The planless
-// path uses dynamic scheduling with a chunk derived from rows/threads; the
-// plan-based path (core/plan.hpp, core/exec_context.hpp) hands the drivers
-// a flops-binned static row partition and, for 2P, cached symbolic row
-// pointers so repeated multiplies skip the symbolic pass entirely. Each
-// thread owns one kernel instance whose scratch space is reused across all
-// rows it processes (and, through ExecutionContext, across calls).
+// Parallelization is coarse-grained across rows (paper §3). There is one
+// driver per phase, and both run N masks over one flops-binned partition
+// of (mask, row) work items (core/plan.hpp): a single multiply is a batch
+// of one. The plan-based path (core/exec_context.hpp) takes the partition
+// and, for 2P, cached symbolic row pointers from its plans, so repeated
+// multiplies skip the symbolic pass entirely; the planless path below
+// builds a call-local one-mask partition from the row flops. Each thread
+// owns one kernel instance per contiguous same-mask run of its items,
+// whose scratch space is reused across all rows it processes (and,
+// through ExecutionContext, across calls).
 //
 // The configuration types (MaskedAlgorithm, MaskKind, MaskedSpgemmOptions,
 // MaskedSpgemmStats, ...) live in core/config.hpp.
@@ -58,167 +61,9 @@ void validate_shapes(IT a_rows, IT a_cols, IT b_rows, IT b_cols,
   }
 }
 
-/// Dynamic-schedule chunk for the planless path, derived from rows/threads
-/// (~16 chunks per thread for load balance, clamped to a sane range)
-/// instead of a hard-coded global constant.
-template <class IT>
-int auto_chunk(IT nrows) {
-  const long threads = std::max(1, max_threads());
-  const long chunk = static_cast<long>(nrows) / (threads * 16);
-  return static_cast<int>(std::clamp(chunk, 1L, 4096L));
-}
-
-template <class IT>
-int resolve_chunk(int requested, IT nrows) {
-  return requested > 0 ? requested : auto_chunk(nrows);
-}
-
-/// Row-parallel driver loop. With a partition: static flops-binned
-/// per-thread work lists (zero-flop rows are skipped — their output rows
-/// are provably empty). Without: dynamic chunks over all rows.
-/// `make_kernel(tid)` runs once per participating thread.
-template <class IT, class KernelFactory, class RowFn>
-void for_each_row(IT nrows, int chunk, const RowPartition<IT>* partition,
-                  KernelFactory&& make_kernel, RowFn&& fn) {
-  (void)chunk;  // consumed by the schedule clause; unused in serial builds
-#pragma omp parallel
-  {
-    const int tid = thread_id();
-    auto kernel = make_kernel(tid);
-    if (partition != nullptr) {
-      const int nt = region_threads();
-      for (int l = tid; l < partition->lists(); l += nt) {
-        for (IT i : partition->list(l)) fn(kernel, i);
-      }
-    } else {
-#pragma omp for schedule(dynamic, chunk)
-      for (IT i = 0; i < nrows; ++i) fn(kernel, i);
-    }
-  }
-}
-
-/// One-phase driver: `ub[i]` bounds row i's output size; the temporary is
-/// laid out by the prefix sum of the bounds, computed rows are compacted
-/// into the final CSR with a second prefix sum over actual counts. When
-/// `structure_sink` is set, the exact output row pointers are exported so
-/// a plan can skip future symbolic passes.
-template <class IT, class VT, class KernelFactory>
-CsrMatrix<IT, VT> run_one_phase(IT nrows, IT ncols,
-                                const std::vector<std::size_t>& ub,
-                                KernelFactory make_kernel, int chunk_rows,
-                                MaskedSpgemmStats* stats = nullptr,
-                                const RowPartition<IT>* partition = nullptr,
-                                std::vector<IT>* structure_sink = nullptr) {
-  Timer phase_timer;
-  const int chunk = resolve_chunk(chunk_rows, nrows);
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(nrows) + 1, 0);
-  for (IT i = 0; i < nrows; ++i) {
-    offsets[static_cast<std::size_t>(i) + 1] =
-        offsets[static_cast<std::size_t>(i)] + ub[static_cast<std::size_t>(i)];
-  }
-  const std::size_t cap = offsets.back();
-  // Default-initialized (NOT zeroed) temporaries: a std::vector here would
-  // value-initialize `cap` elements — a full write pass over memory the
-  // kernels are about to overwrite anyway, big enough to distort the
-  // one-phase/two-phase trade-off the paper measures in §6.
-  std::unique_ptr<IT[]> tmp_cols(new IT[cap]);
-  std::unique_ptr<VT[]> tmp_vals(new VT[cap]);
-  std::vector<IT> counts(static_cast<std::size_t>(nrows), 0);
-
-  for_each_row(nrows, chunk, partition, make_kernel, [&](auto& kernel, IT i) {
-    const std::size_t off = offsets[static_cast<std::size_t>(i)];
-    counts[static_cast<std::size_t>(i)] =
-        kernel.numeric_row(i, tmp_cols.get() + off, tmp_vals.get() + off);
-    MSP_ASSERT(static_cast<std::size_t>(counts[i]) <=
-               ub[static_cast<std::size_t>(i)]);
-  });
-  if (stats != nullptr) {
-    stats->numeric_seconds = phase_timer.seconds();
-    stats->bound_nnz = cap;
-    phase_timer.reset();
-  }
-
-  std::vector<IT> rowptr_counts = counts;
-  const IT total = exclusive_prefix_sum(rowptr_counts);
-  CsrMatrix<IT, VT> out(nrows, ncols);
-  out.colids.resize(static_cast<std::size_t>(total));
-  out.values.resize(static_cast<std::size_t>(total));
-  for (IT i = 0; i < nrows; ++i) out.rowptr[i] = rowptr_counts[i];
-  out.rowptr[nrows] = total;
-#pragma omp parallel for schedule(dynamic, chunk)
-  for (IT i = 0; i < nrows; ++i) {
-    const std::size_t src = offsets[static_cast<std::size_t>(i)];
-    const std::size_t dst = static_cast<std::size_t>(out.rowptr[i]);
-    const std::size_t c = static_cast<std::size_t>(counts[i]);
-    std::copy_n(tmp_cols.get() + src, c, out.colids.data() + dst);
-    std::copy_n(tmp_vals.get() + src, c, out.values.data() + dst);
-  }
-  if (stats != nullptr) {
-    stats->assemble_seconds = phase_timer.seconds();
-    stats->output_nnz = out.nnz();
-  }
-  if (structure_sink != nullptr && structure_sink->empty()) {
-    *structure_sink = out.rowptr;
-  }
-  MSP_ASSERT(out.check_structure());
-  return out;
-}
-
-/// Two-phase driver: symbolic counts → prefix sum → numeric in place. With
-/// `cached_rowptr` (from a plan) the symbolic pass is skipped outright; a
-/// freshly computed structure is exported through `structure_sink`.
-template <class IT, class VT, class KernelFactory>
-CsrMatrix<IT, VT> run_two_phase(IT nrows, IT ncols, KernelFactory make_kernel,
-                                int chunk_rows,
-                                MaskedSpgemmStats* stats = nullptr,
-                                const RowPartition<IT>* partition = nullptr,
-                                const std::vector<IT>* cached_rowptr = nullptr,
-                                std::vector<IT>* structure_sink = nullptr) {
-  Timer phase_timer;
-  const int chunk = resolve_chunk(chunk_rows, nrows);
-  CsrMatrix<IT, VT> out(nrows, ncols);
-  if (cached_rowptr != nullptr) {
-    out.rowptr = *cached_rowptr;
-    if (stats != nullptr) {
-      stats->symbolic_seconds = 0.0;
-      stats->symbolic_skipped = true;
-    }
-  } else {
-    std::vector<IT> counts(static_cast<std::size_t>(nrows), 0);
-    for_each_row(nrows, chunk, partition, make_kernel,
-                 [&](auto& kernel, IT i) {
-                   counts[static_cast<std::size_t>(i)] = kernel.symbolic_row(i);
-                 });
-    if (stats != nullptr) stats->symbolic_seconds = phase_timer.seconds();
-    const IT total = exclusive_prefix_sum(counts);
-    for (IT i = 0; i < nrows; ++i) out.rowptr[i] = counts[i];
-    out.rowptr[nrows] = total;
-  }
-  const IT total = out.rowptr[nrows];
-  out.colids.resize(static_cast<std::size_t>(total));
-  out.values.resize(static_cast<std::size_t>(total));
-  phase_timer.reset();
-  for_each_row(nrows, chunk, partition, make_kernel, [&](auto& kernel, IT i) {
-    const IT written =
-        kernel.numeric_row(i, out.colids.data() + out.rowptr[i],
-                           out.values.data() + out.rowptr[i]);
-    MSP_ASSERT(written == out.rowptr[i + 1] - out.rowptr[i]);
-    (void)written;
-  });
-  if (stats != nullptr) {
-    stats->numeric_seconds = phase_timer.seconds();
-    stats->output_nnz = out.nnz();
-  }
-  if (structure_sink != nullptr && structure_sink->empty()) {
-    *structure_sink = out.rowptr;
-  }
-  MSP_ASSERT(out.check_structure());
-  return out;
-}
-
-/// Item loop for the batched multi-mask drivers. Each thread walks its
-/// lists of (mask, row) items; items are sorted by (mask, row) within a
-/// list, so one kernel is constructed per contiguous same-mask run (kernel
+/// Item loop of the phase drivers. Each thread walks its lists of
+/// (mask, row) items; items are sorted by (mask, row) within a list, so
+/// one kernel is constructed per contiguous same-mask run (kernel
 /// construction only binds references and borrows scratch — the scratch
 /// itself is shared across every mask the thread touches, with no teardown
 /// between masks). `active`, when non-null, skips whole masks (used by the
@@ -249,11 +94,16 @@ void for_each_batch_item(const BatchRowPartition<IT>& partition,
   }
 }
 
-/// Batched one-phase driver: N outputs in one pass over the global
-/// (mask, row) partition. The per-item work is exactly run_one_phase's
-/// per-row work against the same bounds, so every output is bit-identical
-/// to a sequential plan-based run. `stats`, when set, receives batch
-/// aggregates (summed bounds/nnz, whole-batch phase timings).
+/// One-phase driver: N outputs in one pass over the (mask, row)
+/// partition. `ub[q][i]` bounds row i's output size under mask q; each
+/// temporary is laid out by the prefix sum of its bounds, and computed rows
+/// are compacted into the final CSR with a second prefix sum over actual
+/// counts. Every row is computed by the same kernel code whatever the
+/// batch, so each output is bit-identical to a run of its mask alone. A
+/// non-null, still-empty `structure_sinks[q]` receives output q's exact
+/// row pointers, so a plan can skip future symbolic passes. `stats`, when
+/// set, receives batch aggregates (summed bounds/nnz, whole-batch phase
+/// timings).
 template <class IT, class VT, class KernelFactory>
 std::vector<CsrMatrix<IT, VT>> run_batch_one_phase(
     IT nrows, IT ncols, const std::vector<const std::vector<std::size_t>*>& ub,
@@ -276,8 +126,10 @@ std::vector<CsrMatrix<IT, VT>> run_batch_one_phase(
     }
     const std::size_t cap = offsets[q].back();
     bound_total += cap;
-    // Default-initialized, as in run_one_phase: zeroing `cap` elements the
-    // kernels are about to overwrite would be a pure extra memory pass.
+    // Default-initialized (NOT zeroed) temporaries: a std::vector here
+    // would value-initialize `cap` elements — a full write pass over memory
+    // the kernels are about to overwrite anyway, big enough to distort the
+    // one-phase/two-phase trade-off the paper measures in §6.
     tmp_cols[q].reset(new IT[cap]);
     tmp_vals[q].reset(new VT[cap]);
     counts[q].assign(static_cast<std::size_t>(nrows), 0);
@@ -333,19 +185,21 @@ std::vector<CsrMatrix<IT, VT>> run_batch_one_phase(
   return outs;
 }
 
-/// Batched two-phase driver. Masks whose plan already carries the symbolic
-/// structure (`cached_rowptr[q] != nullptr`) skip the symbolic pass; the
-/// rest are counted in one batched pass over the partition. The numeric
-/// pass then runs over every item.
+/// Two-phase driver: symbolic counts → prefix sum → numeric in place, for
+/// N outputs over one partition. Masks whose plan already carries the
+/// symbolic structure (`cached_rowptr[q] != nullptr`) skip the symbolic
+/// pass; the rest are counted in one pass over the partition. The numeric
+/// pass then runs over every item. Structure sinks and stats as in
+/// run_batch_one_phase.
 template <class IT, class VT, class KernelFactory>
 std::vector<CsrMatrix<IT, VT>> run_batch_two_phase(
-    IT nrows, IT ncols, int n_masks, KernelFactory make_kernel,
+    IT nrows, IT ncols, KernelFactory make_kernel,
     const BatchRowPartition<IT>& partition,
     const std::vector<const std::vector<IT>*>& cached_rowptr,
     const std::vector<std::vector<IT>*>& structure_sinks,
     MaskedSpgemmStats* stats = nullptr) {
   Timer phase_timer;
-  const std::size_t n = static_cast<std::size_t>(n_masks);
+  const std::size_t n = cached_rowptr.size();
   std::vector<CsrMatrix<IT, VT>> outs;
   outs.reserve(n);
   for (std::size_t q = 0; q < n; ++q) outs.emplace_back(nrows, ncols);
@@ -415,44 +269,49 @@ std::vector<CsrMatrix<IT, VT>> run_batch_two_phase(
   return outs;
 }
 
-/// Per-row one-phase output bounds (see file header).
-template <class IT, class VT, class MT>
-std::vector<std::size_t> one_phase_bounds(const CsrMatrix<IT, VT>& a,
-                                          const CsrMatrix<IT, VT>& b,
-                                          const CsrMatrix<IT, MT>& m,
-                                          MaskKind kind) {
+/// Per-row one-phase output bounds of the planless path (see file header):
+/// nnz(M(i,:)) under a regular mask, min(ncols − nnz(M(i,:)), flops(i))
+/// under a complemented one.
+template <class IT, class MT>
+std::vector<std::size_t> one_phase_bounds(
+    const CsrMatrix<IT, MT>& m, IT ncols,
+    const std::vector<std::int64_t>& flops, MaskKind kind) {
   std::vector<std::size_t> ub(static_cast<std::size_t>(m.nrows), 0);
-  if (kind == MaskKind::kMask) {
 #pragma omp parallel for schedule(static)
-    for (IT i = 0; i < m.nrows; ++i) {
-      ub[static_cast<std::size_t>(i)] = static_cast<std::size_t>(m.row_nnz(i));
-    }
-  } else {
-    const auto flops = row_flops(a, b);
-#pragma omp parallel for schedule(static)
-    for (IT i = 0; i < m.nrows; ++i) {
-      const std::size_t allowed =
-          static_cast<std::size_t>(b.ncols) -
-          static_cast<std::size_t>(m.row_nnz(i));
-      ub[static_cast<std::size_t>(i)] = std::min(
-          allowed, static_cast<std::size_t>(flops[static_cast<std::size_t>(i)]));
-    }
+  for (IT i = 0; i < m.nrows; ++i) {
+    const auto mask_nnz = static_cast<std::size_t>(m.row_nnz(i));
+    ub[static_cast<std::size_t>(i)] =
+        kind == MaskKind::kMask
+            ? mask_nnz
+            : std::min(static_cast<std::size_t>(ncols) - mask_nnz,
+                       static_cast<std::size_t>(
+                           flops[static_cast<std::size_t>(i)]));
   }
   return ub;
 }
 
-template <class IT, class VT, class KernelFactory>
-CsrMatrix<IT, VT> run_with_phase(IT nrows, IT ncols,
-                                 const std::vector<std::size_t>* ub,
-                                 KernelFactory make_kernel,
-                                 const MaskedSpgemmOptions& opt) {
+/// Planless execution of one mask: a call-local partition from the row
+/// flops, then the phase driver. `make_kernel(tid)` builds a kernel that
+/// owns its scratch; nothing is fingerprinted or cached.
+template <class IT, class VT, class MT, class KernelFactory>
+CsrMatrix<IT, VT> run_planless(const CsrMatrix<IT, MT>& m, IT ncols,
+                               const std::vector<std::int64_t>& flops,
+                               const MaskedSpgemmOptions& opt,
+                               KernelFactory make_kernel) {
+  const BatchRowPartition<IT> partition = build_mask_partition<IT>(
+      flops, m, opt.mask_kind == MaskKind::kComplement, max_threads());
+  auto factory = [&](int tid, int) { return make_kernel(tid); };
   if (opt.phase == MaskedPhase::kOnePhase) {
-    MSP_ASSERT(ub != nullptr);
-    return run_one_phase<IT, VT>(nrows, ncols, *ub, make_kernel,
-                                 opt.chunk_rows, opt.stats);
+    const auto ub = one_phase_bounds(m, ncols, flops, opt.mask_kind);
+    return std::move(run_batch_one_phase<IT, VT>(m.nrows, ncols, {&ub},
+                                                 factory, partition,
+                                                 {nullptr}, opt.stats)
+                         .front());
   }
-  return run_two_phase<IT, VT>(nrows, ncols, make_kernel, opt.chunk_rows,
-                               opt.stats);
+  return std::move(run_batch_two_phase<IT, VT>(m.nrows, ncols, factory,
+                                               partition, {nullptr},
+                                               {nullptr}, opt.stats)
+                       .front());
 }
 
 }  // namespace detail
@@ -474,30 +333,10 @@ CsrMatrix<IT, VT> masked_multiply_inner(const CsrMatrix<IT, VT>& a,
                                      structural);
   }
   const bool complemented = opt.mask_kind == MaskKind::kComplement;
-  auto factory = [&](int) {
-    return InnerKernel<SR, IT, VT, MT>(a, b_csc, m, complemented);
-  };
-  if (opt.phase == MaskedPhase::kOnePhase) {
-    std::vector<std::size_t> ub(static_cast<std::size_t>(m.nrows));
-    if (!complemented) {
-#pragma omp parallel for schedule(static)
-      for (IT i = 0; i < m.nrows; ++i) {
-        ub[static_cast<std::size_t>(i)] =
-            static_cast<std::size_t>(m.row_nnz(i));
-      }
-    } else {
-#pragma omp parallel for schedule(static)
-      for (IT i = 0; i < m.nrows; ++i) {
-        ub[static_cast<std::size_t>(i)] =
-            static_cast<std::size_t>(b_csc.ncols) -
-            static_cast<std::size_t>(m.row_nnz(i));
-      }
-    }
-    return detail::run_one_phase<IT, VT>(m.nrows, b_csc.ncols, ub, factory,
-                                         opt.chunk_rows, opt.stats);
-  }
-  return detail::run_two_phase<IT, VT>(m.nrows, b_csc.ncols, factory,
-                                       opt.chunk_rows, opt.stats);
+  return detail::run_planless<IT, VT>(
+      m, b_csc.ncols, row_flops(a, b_csc), opt, [&](int) {
+        return InnerKernel<SR, IT, VT, MT>(a, b_csc, m, complemented);
+      });
 }
 
 /// Masked SpGEMM: C = M ⊙ (A·B) on semiring SR (or ¬M ⊙ (A·B) for a
@@ -532,54 +371,39 @@ CsrMatrix<IT, VT> masked_multiply(const CsrMatrix<IT, VT>& a,
     return masked_multiply_inner<SR>(a, b_csc, m, opt);
   }
 
-  std::vector<std::size_t> ub;
-  const std::vector<std::size_t>* ub_ptr = nullptr;
-  if (opt.phase == MaskedPhase::kOnePhase) {
-    ub = detail::one_phase_bounds(a, b, m, opt.mask_kind);
-    ub_ptr = &ub;
-  }
-
+  const std::vector<std::int64_t> flops = row_flops(a, b);
+  auto run = [&](auto make_kernel) {
+    return detail::run_planless<IT, VT>(m, b.ncols, flops, opt, make_kernel);
+  };
   switch (opt.algorithm) {
-    case MaskedAlgorithm::kMsa: {
-      auto f = [&](int) {
+    case MaskedAlgorithm::kMsa:
+      return run([&](int) {
         return MsaKernel<SR, IT, VT, MT>(a, b, m, complemented);
-      };
-      return detail::run_with_phase<IT, VT>(m.nrows, b.ncols, ub_ptr, f, opt);
-    }
-    case MaskedAlgorithm::kHash: {
-      auto f = [&](int) {
+      });
+    case MaskedAlgorithm::kHash:
+      return run([&](int) {
         return HashKernel<SR, IT, VT, MT>(a, b, m, complemented);
-      };
-      return detail::run_with_phase<IT, VT>(m.nrows, b.ncols, ub_ptr, f, opt);
-    }
-    case MaskedAlgorithm::kMca: {
-      auto f = [&](int) {
+      });
+    case MaskedAlgorithm::kMca:
+      return run([&](int) {
         return McaKernel<SR, IT, VT, MT>(a, b, m, complemented);
-      };
-      return detail::run_with_phase<IT, VT>(m.nrows, b.ncols, ub_ptr, f, opt);
-    }
-    case MaskedAlgorithm::kHeap: {
-      const long inspect = opt.heap_n_inspect >= 0 ? opt.heap_n_inspect : 1;
-      auto f = [&, inspect](int) {
-        return HeapKernel<SR, IT, VT, MT>(a, b, m, complemented, inspect);
-      };
-      return detail::run_with_phase<IT, VT>(m.nrows, b.ncols, ub_ptr, f, opt);
-    }
+      });
+    case MaskedAlgorithm::kHeap:
     case MaskedAlgorithm::kHeapDot: {
+      const long fallback =
+          opt.algorithm == MaskedAlgorithm::kHeap ? 1 : kInspectAll;
       const long inspect =
-          opt.heap_n_inspect >= 0 ? opt.heap_n_inspect : kInspectAll;
-      auto f = [&, inspect](int) {
+          opt.heap_n_inspect >= 0 ? opt.heap_n_inspect : fallback;
+      return run([&, inspect](int) {
         return HeapKernel<SR, IT, VT, MT>(a, b, m, complemented, inspect);
-      };
-      return detail::run_with_phase<IT, VT>(m.nrows, b.ncols, ub_ptr, f, opt);
+      });
     }
     case MaskedAlgorithm::kAdaptive: {
       using K = AdaptiveKernel<SR, IT, VT, MT>;
-      auto f = [&](int) {
+      return run([&](int) {
         return K(a, b, m, complemented,
                  typename K::Policy{.table = opt.route_table});
-      };
-      return detail::run_with_phase<IT, VT>(m.nrows, b.ncols, ub_ptr, f, opt);
+      });
     }
     case MaskedAlgorithm::kInner:
       break;  // handled above

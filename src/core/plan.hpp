@@ -238,106 +238,20 @@ template <class IT>
 }
 
 // ---------------------------------------------------------------------------
-// Flops-binned row partition
+// Flops-binned (mask, row) work-item partition
 // ---------------------------------------------------------------------------
 
-/// Static per-thread work lists replacing the global dynamic-chunk knob.
-/// Rows are bucketed by ⌊log₂ flops⌋ and each bucket is dealt round-robin
-/// across the lists, so every list holds a near-identical mix of heavy and
-/// light rows (within a bucket rows differ by at most 2× in flops). Rows
-/// with zero flops are omitted entirely: their output rows are provably
-/// empty, so executing them would be pure overhead.
-template <class IT>
-struct RowPartition {
-  std::vector<IT> rows;                 ///< concatenated per-list row ids
-  std::vector<std::size_t> list_begin;  ///< size lists()+1
-
-  [[nodiscard]] int lists() const {
-    return list_begin.empty() ? 0 : static_cast<int>(list_begin.size()) - 1;
-  }
-
-  [[nodiscard]] std::span<const IT> list(int l) const {
-    MSP_ASSERT(l >= 0 && l < lists());
-    return {rows.data() + list_begin[static_cast<std::size_t>(l)],
-            list_begin[static_cast<std::size_t>(l) + 1] -
-                list_begin[static_cast<std::size_t>(l)]};
-  }
-};
-
-/// Build a flops-binned partition with `n_lists` work lists.
-template <class IT>
-RowPartition<IT> build_flops_partition(const std::vector<std::int64_t>& flops,
-                                       int n_lists) {
-  n_lists = std::max(1, n_lists);
-  constexpr int kBuckets = 64;  // bucket = bit_width(flops), flops > 0
-  const std::size_t nrows = flops.size();
-
-  std::vector<std::size_t> bucket_count(kBuckets, 0);
-  for (std::size_t i = 0; i < nrows; ++i) {
-    if (flops[i] > 0) {
-      ++bucket_count[static_cast<std::size_t>(
-          std::bit_width(static_cast<std::uint64_t>(flops[i])))];
-    }
-  }
-  // Scatter rows into one array ordered heaviest bucket first.
-  std::vector<std::size_t> bucket_pos(kBuckets, 0);
-  std::size_t total = 0;
-  for (int bkt = kBuckets - 1; bkt >= 0; --bkt) {
-    bucket_pos[static_cast<std::size_t>(bkt)] = total;
-    total += bucket_count[static_cast<std::size_t>(bkt)];
-  }
-  std::vector<IT> ordered(total);
-  for (std::size_t i = 0; i < nrows; ++i) {
-    if (flops[i] > 0) {
-      const auto bkt = static_cast<std::size_t>(
-          std::bit_width(static_cast<std::uint64_t>(flops[i])));
-      ordered[bucket_pos[bkt]++] = static_cast<IT>(i);
-    }
-  }
-
-  // Deal the ordered rows round-robin: position p goes to list p mod n_lists.
-  RowPartition<IT> part;
-  part.rows.resize(total);
-  part.list_begin.assign(static_cast<std::size_t>(n_lists) + 1, 0);
-  const std::size_t base = total / static_cast<std::size_t>(n_lists);
-  const std::size_t extra = total % static_cast<std::size_t>(n_lists);
-  for (int l = 0; l < n_lists; ++l) {
-    part.list_begin[static_cast<std::size_t>(l) + 1] =
-        part.list_begin[static_cast<std::size_t>(l)] + base +
-        (static_cast<std::size_t>(l) < extra ? 1 : 0);
-  }
-  for (std::size_t p = 0; p < total; ++p) {
-    const std::size_t l = p % static_cast<std::size_t>(n_lists);
-    const std::size_t k = p / static_cast<std::size_t>(n_lists);
-    part.rows[part.list_begin[l] + k] = ordered[p];
-  }
-  // With static lists there is no work stealing, so the order *within* a
-  // list is irrelevant for balance — restore ascending row order for the
-  // cache locality of walking A/M rows near-sequentially.
-#pragma omp parallel for schedule(static)
-  for (int l = 0; l < n_lists; ++l) {
-    std::sort(part.rows.begin() +
-                  static_cast<std::ptrdiff_t>(
-                      part.list_begin[static_cast<std::size_t>(l)]),
-              part.rows.begin() +
-                  static_cast<std::ptrdiff_t>(
-                      part.list_begin[static_cast<std::size_t>(l) + 1]));
-  }
-  return part;
-}
-
-// ---------------------------------------------------------------------------
-// Batched (mask, row) work-item partition
-// ---------------------------------------------------------------------------
-
-/// Work-item partition for the batched multi-mask path: items are
-/// (mask, row) pairs across the whole batch, bucketed by ⌊log₂ flops⌋ and
-/// dealt round-robin exactly like RowPartition. One global partition over
-/// the batch load-balances N skewed masks better than N per-mask partitions
-/// executed back to back: a mask whose admitted rows happen to be the heavy
-/// ones shares threads with the light masks instead of serializing behind
-/// its own hubs. Items whose output row is provably empty (zero flops, or —
-/// under a regular mask — an empty effective mask row) are omitted.
+/// The one row partition every driver runs over: static per-thread work
+/// lists of (mask, row) items, where a single multiply is a batch of one
+/// mask. Items are bucketed by ⌊log₂ flops⌋ and each bucket is dealt
+/// round-robin across the lists, so every list holds a near-identical mix
+/// of heavy and light rows (within a bucket rows differ by at most 2× in
+/// flops). One global partition over a batch load-balances N skewed masks
+/// better than N per-mask partitions executed back to back: a mask whose
+/// admitted rows happen to be the heavy ones shares threads with the light
+/// masks instead of serializing behind its own hubs. Items whose output
+/// row is provably empty (zero flops, or — under a regular mask — an empty
+/// effective mask row) are omitted.
 template <class IT>
 struct BatchRowPartition {
   struct Item {
@@ -359,10 +273,10 @@ struct BatchRowPartition {
   }
 };
 
-/// Build the global batched partition. `included(mask, row)` filters items
-/// beyond the flops > 0 requirement (the batch driver passes the per-mask
-/// empty-row test); the per-item weight is the shared flops vector, which
-/// models the push kernels' per-row cost independent of the mask.
+/// Build the partition. `included(mask, row)` filters items beyond the
+/// flops > 0 requirement (callers pass the per-mask empty-row test); the
+/// per-item weight is the shared flops vector, which models the push
+/// kernels' per-row cost independent of the mask.
 template <class IT, class Included>
 BatchRowPartition<IT> build_batch_partition(
     const std::vector<std::int64_t>& flops, int n_masks, Included included,
@@ -416,7 +330,7 @@ BatchRowPartition<IT> build_batch_partition(
   // Within a list the order is irrelevant for balance (static lists, no
   // stealing); sort by (mask, row) so each thread processes one mask's rows
   // as a contiguous ascending run — one kernel construction per run, and
-  // the same near-sequential A/M walk as the single-mask partition.
+  // a near-sequential walk over the rows of A and M.
 #pragma omp parallel for schedule(static)
   for (int l = 0; l < n_lists; ++l) {
     std::sort(part.items.begin() +
@@ -430,6 +344,18 @@ BatchRowPartition<IT> build_batch_partition(
               });
   }
   return part;
+}
+
+/// The partition of a single multiply (a batch of one mask): rows with
+/// flops and, under a regular mask, a non-empty mask row.
+template <class IT, class MT>
+BatchRowPartition<IT> build_mask_partition(
+    const std::vector<std::int64_t>& flops, const CsrMatrix<IT, MT>& m,
+    bool complemented, int n_lists) {
+  return build_batch_partition<IT>(
+      flops, 1,
+      [&](std::int32_t, IT i) { return complemented || m.row_nnz(i) > 0; },
+      n_lists);
 }
 
 // ---------------------------------------------------------------------------
@@ -507,10 +433,12 @@ struct CscTransposeCache {
 // ---------------------------------------------------------------------------
 
 /// Precomputed per-operand state a caller (the Engine facade's BoundMatrix
-/// handles, core/bound_matrix.hpp) can hand to ExecutionContext::multiply so
-/// the context skips re-deriving it. Every field is optional; an unset field
-/// is computed per call exactly as before, so partially-bound calls (say, a
-/// bound B under a fresh per-iteration mask) still work. Fingerprints are
+/// handles, core/bound_matrix.hpp) can hand to ExecutionContext::multiply or
+/// multiply_batch so the context skips re-deriving it. Every field is
+/// optional; an unset field is computed per call exactly as before, so
+/// partially-bound calls (say, a bound B under a fresh per-iteration mask)
+/// still work. The mask fields (`fm`, `m_dirty`) describe one mask and are
+/// only read by a single-mask call. Fingerprints are
 /// the *raw* pattern fingerprints — the context applies its (test-only)
 /// fingerprint transform before they enter a plan key, keeping the
 /// collision test seam effective for hinted calls too.
@@ -695,11 +623,17 @@ class SpgemmPlan {
     if (b_csc_ == nullptr) b_csc_ = std::move(cache);
   }
 
-  /// The flops-binned row partition, built for `n_lists` work lists
-  /// (typically the thread count) and rebuilt if that changes.
-  const RowPartition<IT>& ensure_partition(int n_lists) {
+  /// The partition a single multiply under this plan runs over (a batch
+  /// of one mask, see build_mask_partition), built for `n_lists` work
+  /// lists (typically the thread count) and rebuilt if that changes. It
+  /// depends on the flops *and* the effective mask's empty rows, so sync()
+  /// drops it whenever either is refreshed.
+  const BatchRowPartition<IT>& ensure_partition(const CsrMatrix<IT, MT>& m,
+                                                int n_lists) {
     if (partition_.lists() != std::max(1, n_lists)) {
-      partition_ = build_flops_partition<IT>(*flops_, n_lists);
+      partition_ = build_mask_partition<IT>(
+          *flops_, effective_mask(m), kind_ == MaskKind::kComplement,
+          n_lists);
     }
     return partition_;
   }
@@ -793,6 +727,10 @@ class SpgemmPlan {
     std::size_t rows_refreshed = 0;
     for (char c : out_dirty) rows_refreshed += (c != 0);
     if (rows_refreshed == 0) return 0;
+    // The partition skips zero-flops rows and, under a regular mask, rows
+    // whose mask row is empty: a refreshed flops *or* mask row invalidates
+    // it (lazily rebuilt).
+    partition_ = BatchRowPartition<IT>{};
     if (!bounds_.empty()) refresh_bounds(m, out_dirty);
     if (!structure_rowptr_.empty()) refresh_structure(a, b, m, out_dirty);
     return rows_refreshed;
@@ -909,7 +847,6 @@ class SpgemmPlan {
     flops_ = std::move(next);
     total_flops_ = 0;
     for (std::int64_t f : *flops_) total_flops_ += f;
-    partition_ = RowPartition<IT>{};  // lazily rebuilt from the new flops
     histogram_built_ = false;
   }
 
@@ -1009,7 +946,7 @@ class SpgemmPlan {
   std::vector<std::size_t> bounds_;     // lazy, 1P
   std::vector<IT> structure_rowptr_;    // lazy, 2P (or adopted from 1P)
   std::shared_ptr<CscTransposeCache<IT, VT>> b_csc_;  // lazy, Inner
-  RowPartition<IT> partition_;          // lazy
+  BatchRowPartition<IT> partition_;     // lazy, single-mask calls
 
   DirtyCursor a_cursor_;  // last-synced dirty-log positions (sync())
   DirtyCursor b_cursor_;

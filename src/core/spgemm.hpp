@@ -107,8 +107,7 @@ class SpgemmHashMap {
 /// are sorted.
 template <Semiring SR, class IT, class VT>
 CsrMatrix<IT, VT> multiply(const CsrMatrix<IT, VT>& a,
-                           const CsrMatrix<IT, VT>& b, int chunk_rows = 64) {
-  (void)chunk_rows;  // consumed by the schedule clause; unused serial
+                           const CsrMatrix<IT, VT>& b) {
   if (a.ncols != b.nrows) {
     throw invalid_argument_error("multiply: inner dimension mismatch");
   }
@@ -119,7 +118,7 @@ CsrMatrix<IT, VT> multiply(const CsrMatrix<IT, VT>& a,
 #pragma omp parallel
   {
     detail::SpgemmHashMap<IT, VT> map;
-#pragma omp for schedule(dynamic, chunk_rows)
+#pragma omp for schedule(dynamic, 64)
     for (IT i = 0; i < nrows; ++i) {
       std::size_t flops = 0;
       for (IT p = a.rowptr[i]; p < a.rowptr[i + 1]; ++p) {
@@ -150,7 +149,7 @@ CsrMatrix<IT, VT> multiply(const CsrMatrix<IT, VT>& a,
 #pragma omp parallel
   {
     detail::SpgemmHashMap<IT, VT> map;
-#pragma omp for schedule(dynamic, chunk_rows)
+#pragma omp for schedule(dynamic, 64)
     for (IT i = 0; i < nrows; ++i) {
       const IT row_size = out.rowptr[i + 1] - out.rowptr[i];
       if (row_size == 0) continue;

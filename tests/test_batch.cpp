@@ -7,6 +7,7 @@
 // collision cross-check, and the complement-row hash-table capacity clamp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -440,38 +441,79 @@ TEST(DropExplicitZeros, MatchesSelectAndKeepsShape) {
 // ---------------------------------------------------------------------------
 
 TEST(BatchPartition, CoversEveryIncludedItemExactlyOnce) {
-  const std::vector<std::int64_t> flops = {0, 5, 1000, 3, 0, 77, 2, 19};
-  const int n_masks = 3;
+  const std::vector<std::int64_t> flops = {0,  5, 1000, 3, 0,  77, 2,
+                                           19, 0, 1,    8, 64, 512};
   const auto included = [](std::int32_t q, int i) {
     return q != 1 || i % 2 == 0;  // mask 1 admits even rows only
   };
-  for (int lists : {1, 2, 4, 7}) {
-    const auto part =
-        build_batch_partition<int>(flops, n_masks, included, lists);
-    EXPECT_EQ(part.lists(), lists);
-    std::vector<std::vector<int>> seen(
-        n_masks, std::vector<int>(flops.size(), 0));
-    for (int l = 0; l < part.lists(); ++l) {
-      std::int32_t prev_mask = -1;
-      int prev_row = -1;
+  // n_masks = 1 is the partition of a single multiply.
+  for (int n_masks : {1, 3}) {
+    for (int lists : {1, 2, 3, 4, 7, 16}) {
+      const auto part =
+          build_batch_partition<int>(flops, n_masks, included, lists);
+      EXPECT_EQ(part.lists(), lists);
+      std::vector<std::vector<int>> seen(
+          n_masks, std::vector<int>(flops.size(), 0));
+      for (int l = 0; l < part.lists(); ++l) {
+        std::int32_t prev_mask = -1;
+        int prev_row = -1;
+        for (const auto& item : part.list(l)) {
+          ++seen[static_cast<std::size_t>(item.mask)]
+                [static_cast<std::size_t>(item.row)];
+          // Sorted by (mask, row) within a list: one kernel per run.
+          EXPECT_TRUE(item.mask > prev_mask ||
+                      (item.mask == prev_mask && item.row > prev_row));
+          prev_mask = item.mask;
+          prev_row = item.row;
+        }
+      }
+      for (int q = 0; q < n_masks; ++q) {
+        for (std::size_t i = 0; i < flops.size(); ++i) {
+          const int expect =
+              (flops[i] > 0 && included(q, static_cast<int>(i))) ? 1 : 0;
+          EXPECT_EQ(seen[static_cast<std::size_t>(q)][i], expect)
+              << "masks " << n_masks << " mask " << q << " row " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchPartition, BalancesSkewedFlops) {
+  // Heavily skewed (RMAT-like) distribution: a handful of hub rows, a long
+  // light tail. Round-robin dealing within log2 bins must spread the hubs,
+  // for a single mask and across the items of a batch alike.
+  std::vector<std::int64_t> flops(1000);
+  for (std::size_t i = 0; i < flops.size(); ++i) {
+    flops[i] = static_cast<std::int64_t>(i % 97) + 1;
+  }
+  for (std::size_t i = 0; i < 8; ++i) flops[i * 100] = 1 << 20;
+  const int lists = 4;
+  for (int n_masks : {1, 3}) {
+    const auto part = build_batch_partition<int>(
+        flops, n_masks, [](std::int32_t, int) { return true; }, lists);
+    std::vector<std::int64_t> load(static_cast<std::size_t>(lists), 0);
+    for (int l = 0; l < lists; ++l) {
       for (const auto& item : part.list(l)) {
-        ++seen[static_cast<std::size_t>(item.mask)]
-              [static_cast<std::size_t>(item.row)];
-        // Sorted by (mask, row) within a list: one kernel per run.
-        EXPECT_TRUE(item.mask > prev_mask ||
-                    (item.mask == prev_mask && item.row > prev_row));
-        prev_mask = item.mask;
-        prev_row = item.row;
+        load[static_cast<std::size_t>(l)] +=
+            flops[static_cast<std::size_t>(item.row)];
       }
     }
-    for (int q = 0; q < n_masks; ++q) {
-      for (std::size_t i = 0; i < flops.size(); ++i) {
-        const int expect =
-            (flops[i] > 0 && included(q, static_cast<int>(i))) ? 1 : 0;
-        EXPECT_EQ(seen[static_cast<std::size_t>(q)][i], expect)
-            << "mask " << q << " row " << i;
-      }
-    }
+    const std::int64_t maxload = *std::max_element(load.begin(), load.end());
+    const std::int64_t minload = *std::min_element(load.begin(), load.end());
+    // 8·n hubs over 4 lists → 2·n per list; the tail is near-uniform.
+    // Allow 2×.
+    EXPECT_LE(maxload, 2 * minload) << "masks " << n_masks;
+  }
+}
+
+TEST(BatchPartition, EmptyAndAllZeroFlops) {
+  const auto all = [](std::int32_t, int) { return true; };
+  EXPECT_EQ(build_batch_partition<int>({}, 1, all, 4).items.size(), 0u);
+  for (int n_masks : {1, 3}) {
+    const auto part = build_batch_partition<int>({0, 0, 0}, n_masks, all, 4);
+    EXPECT_EQ(part.items.size(), 0u);
+    EXPECT_EQ(part.lists(), 4);
   }
 }
 

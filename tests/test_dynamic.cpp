@@ -14,7 +14,8 @@
 //    untouched row blocks (plan_rows_refreshed / symbolic_skipped proof),
 //    per-shard invalidation re-fingerprints only overlapping shards;
 //  * randomized differential fuzzers — seeded interleaved
-//    insert/delete/query/compact streams against a std::map model, across
+//    insert/delete/query/compact streams (monolithic: edits to A or to the
+//    mask alone) against std::map models, across
 //    scheme families × mask kinds × semantics × {int, int64_t} ×
 //    monolithic/sharded execution;
 //  * a concurrent updater-vs-snapshot-readers stress for the TSan job
@@ -450,9 +451,11 @@ FuzzConfig random_config(Xoshiro256& rng) {
   return cfg;
 }
 
-/// One monolithic trial: an interleaved stream of update batches, manual
-/// compactions, and queries, each query checked bit-identical against a
-/// from-scratch rebuild (fresh engine, no handles, model-rebuilt CSR).
+/// One monolithic trial: an interleaved stream of update batches — to A,
+/// or to the mask alone (each through its own DeltaMatrix and
+/// Engine::update, the other operands untouched) — manual compactions, and
+/// queries, each query checked bit-identical against a from-scratch
+/// rebuild (fresh engine, no handles, model-rebuilt CSRs).
 template <class IT>
 void run_monolithic_trial(std::uint64_t seed) {
   using VT = double;
@@ -465,10 +468,17 @@ void run_monolithic_trial(std::uint64_t seed) {
   const auto base =
       random_csr<IT, VT>(n, n, 0.06, rng.next_below(1u << 30));
   const auto b = random_csr<IT, VT>(n, n, 0.06, rng.next_below(1u << 30));
-  // ~15% explicit zeros in the mask so valued semantics differ.
-  auto m = random_csr<IT, VT>(n, n, 0.10, rng.next_below(1u << 30));
-  for (auto& v : m.values) {
-    if (rng.next_double() < 0.15) v = VT{};
+  // ~15% explicit zeros in the mask so valued semantics differ, and ~30%
+  // of its rows empty: the row partition skips rows whose mask row is
+  // empty, so a mask edit that fills one must reach the cached plan.
+  const auto m0 = random_csr<IT, VT>(n, n, 0.10, rng.next_below(1u << 30));
+  std::map<std::pair<IT, IT>, VT> mask_model;
+  for (IT i = 0; i < n; ++i) {
+    if (rng.next_double() < 0.3) continue;
+    for (IT p = m0.rowptr[i]; p < m0.rowptr[i + 1]; ++p) {
+      mask_model[{i, m0.colids[p]}] =
+          rng.next_double() < 0.15 ? VT{} : m0.values[p];
+    }
   }
 
   std::map<std::pair<IT, IT>, VT> model;
@@ -482,17 +492,18 @@ void run_monolithic_trial(std::uint64_t seed) {
   // stream; a large one keeps the overlay growing across batches.
   const double threshold = rng.next_double() < 0.5 ? 0.05 : 10.0;
   DeltaMatrix<IT, VT> dm(base, threshold);
+  DeltaMatrix<IT, VT> mdm(model_to_csr(mask_model, n), threshold);
   Engine eng;
   BoundMatrix<IT, VT> ah(dm.matrix());
   BoundMatrix<IT, VT> bh(b);
-  BoundMatrix<IT, VT> mh(m);
+  BoundMatrix<IT, VT> mh(mdm.matrix());
   const FuzzConfig cfg = random_config(rng);
 
-  const int steps = 10;
+  const int steps = 12;
   for (int step = 0; step < steps; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
     const double dice = rng.next_double();
-    if (dice < 0.45) {
+    if (dice < 0.35) {
       const auto edits = random_edits<IT, VT>(
           rng, n, 1 + rng.next_below(static_cast<std::uint64_t>(n)));
       const auto res = eng.update(
@@ -502,16 +513,43 @@ void run_monolithic_trial(std::uint64_t seed) {
       ASSERT_TRUE(csr_equal(model_to_csr(model, n), dm.matrix()));
       (void)res;
     } else if (dice < 0.55) {
+      // Mask-only edit, some writing explicit zeros (valued semantics).
+      // Half the edits insert into a currently empty mask row: a regular
+      // mask's partition skips those rows, so filling one must reach the
+      // cached plan.
+      auto edits = random_edits<IT, VT>(
+          rng, n, 1 + rng.next_below(static_cast<std::uint64_t>(n)));
+      std::vector<char> has_entries(static_cast<std::size_t>(n), 0);
+      for (const auto& [coord, v] : mask_model) {
+        has_entries[static_cast<std::size_t>(coord.first)] = 1;
+      }
+      std::vector<IT> empty_rows;
+      for (IT i = 0; i < n; ++i) {
+        if (!has_entries[static_cast<std::size_t>(i)]) empty_rows.push_back(i);
+      }
+      for (auto& e : edits) {
+        if (!empty_rows.empty() && rng.next_double() < 0.5) {
+          e.row = empty_rows[rng.next_below(empty_rows.size())];
+          e.remove = false;
+        }
+        if (rng.next_double() < 0.15) e.value = VT{};
+      }
+      eng.update(mdm, mh, std::span<const EdgeUpdate<IT, VT>>(edits));
+      apply_to_model(mask_model, edits);
+      ASSERT_TRUE(csr_equal(model_to_csr(mask_model, n), mdm.matrix()));
+    } else if (dice < 0.62) {
       dm.compact();
+      mdm.compact();
       EXPECT_EQ(dm.pending_nnz(), 0u);
     } else {
       MaskedSpgemmStats st;
       const auto got = eng.multiply_scheme<SR>(
-          cfg.scheme, dm.matrix(), b, m, cfg.kind, cfg.semantics, &st, &ah,
-          &bh, &mh);
+          cfg.scheme, dm.matrix(), b, mdm.matrix(), cfg.kind, cfg.semantics,
+          &st, &ah, &bh, &mh);
       Engine fresh;
       const auto want = fresh.multiply_scheme<SR>(
-          cfg.scheme, model_to_csr(model, n), b, m, cfg.kind, cfg.semantics);
+          cfg.scheme, model_to_csr(model, n), b,
+          model_to_csr(mask_model, n), cfg.kind, cfg.semantics);
       ASSERT_TRUE(csr_equal(want, got))
           << scheme_name(cfg.scheme) << " kind="
           << (cfg.kind == MaskKind::kMask ? "mask" : "complement")

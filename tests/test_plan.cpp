@@ -3,8 +3,9 @@
 // planless path for every Scheme × mask kind × mask semantics over the
 // conformance corpora, including plan *reuse* (second call on unchanged
 // patterns), mutated-values/same-pattern reuse, and cache invalidation
-// when a pattern actually changes. Plus unit tests for the flops-binned
-// row partition, pattern fingerprints, and the plan-aware applications.
+// when a pattern actually changes. Plus unit tests for pattern
+// fingerprints and the plan-aware applications (the row partition's unit
+// tests live in test_batch.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -229,53 +230,6 @@ TEST(PlanInvalidation, FifoEvictionBoundsTheCache) {
 }
 
 // ---------------------------------------------------------------------------
-// Flops-binned row partition
-// ---------------------------------------------------------------------------
-
-TEST(RowPartition, CoversEveryNonzeroFlopsRowExactlyOnce) {
-  for (int lists : {1, 2, 3, 7, 16}) {
-    const std::vector<std::int64_t> flops = {0,  5, 1000, 3, 0,  77, 2,
-                                             19, 0, 1,    8, 64, 512};
-    const auto part = build_flops_partition<int>(flops, lists);
-    EXPECT_EQ(part.lists(), lists);
-    std::vector<int> seen(flops.size(), 0);
-    for (int l = 0; l < part.lists(); ++l) {
-      for (int r : part.list(l)) ++seen[static_cast<std::size_t>(r)];
-    }
-    for (std::size_t i = 0; i < flops.size(); ++i) {
-      EXPECT_EQ(seen[i], flops[i] > 0 ? 1 : 0) << "row " << i;
-    }
-  }
-}
-
-TEST(RowPartition, BalancesSkewedFlops) {
-  // Heavily skewed (RMAT-like) distribution: a handful of hub rows, a long
-  // light tail. Round-robin dealing within log2 bins must spread the hubs.
-  std::vector<std::int64_t> flops(1000);
-  for (std::size_t i = 0; i < flops.size(); ++i) {
-    flops[i] = static_cast<std::int64_t>(i % 97) + 1;
-  }
-  for (std::size_t i = 0; i < 8; ++i) flops[i * 100] = 1 << 20;
-  const int lists = 4;
-  const auto part = build_flops_partition<int>(flops, lists);
-  std::vector<std::int64_t> load(static_cast<std::size_t>(lists), 0);
-  for (int l = 0; l < lists; ++l) {
-    for (int r : part.list(l)) load[static_cast<std::size_t>(l)] += flops[r];
-  }
-  const std::int64_t maxload = *std::max_element(load.begin(), load.end());
-  const std::int64_t minload = *std::min_element(load.begin(), load.end());
-  // 8 hubs over 4 lists → 2 per list; the tail is near-uniform. Allow 2×.
-  EXPECT_LE(maxload, 2 * minload);
-}
-
-TEST(RowPartition, EmptyAndAllZeroFlops) {
-  EXPECT_EQ(build_flops_partition<int>({}, 4).rows.size(), 0u);
-  const auto part = build_flops_partition<int>({0, 0, 0}, 4);
-  EXPECT_EQ(part.rows.size(), 0u);
-  EXPECT_EQ(part.lists(), 4);
-}
-
-// ---------------------------------------------------------------------------
 // Pattern fingerprints
 // ---------------------------------------------------------------------------
 
@@ -362,20 +316,6 @@ TEST(PlanApps, BetweennessCentralityMatchesPlanless) {
     // BC's frontier patterns are deterministic → full reuse on the rerun.
     EXPECT_EQ(second.plan_stats.plan_hits, second.plan_stats.calls);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Planless chunk derivation (the fixed knob)
-// ---------------------------------------------------------------------------
-
-TEST(AutoChunk, DerivedChunkIsSane) {
-  EXPECT_GE(detail::auto_chunk<int>(0), 1);
-  EXPECT_GE(detail::auto_chunk<int>(1), 1);
-  EXPECT_LE(detail::auto_chunk<int>(1 << 30), 4096);
-  // Explicit chunk requests are honored verbatim.
-  EXPECT_EQ(detail::resolve_chunk<int>(64, 1 << 20), 64);
-  EXPECT_EQ(detail::resolve_chunk<int>(0, 1 << 20),
-            detail::auto_chunk<int>(1 << 20));
 }
 
 }  // namespace
