@@ -230,6 +230,44 @@ TEST(PlanInvalidation, FifoEvictionBoundsTheCache) {
 }
 
 // ---------------------------------------------------------------------------
+// Flops-binned row partition of a single multiply
+// ---------------------------------------------------------------------------
+
+TEST(RowPartition, CoversEveryNonzeroFlopsRowExactlyOnce) {
+  const std::vector<std::int64_t> flops = {0,  5, 1000, 3, 0,  77, 2,
+                                           19, 0, 1,    8, 64, 512};
+  const int n = static_cast<int>(flops.size());
+  // A regular mask with one entry in each even row: odd rows have an empty
+  // mask row and are skipped. Complemented, every row is admitted.
+  std::vector<int> rowptr{0};
+  std::vector<int> colids;
+  for (int i = 0; i < n; ++i) {
+    if (i % 2 == 0) colids.push_back(i);
+    rowptr.push_back(static_cast<int>(colids.size()));
+  }
+  std::vector<double> values(colids.size(), 1.0);
+  const CsrMatrix<int, double> m(n, n, rowptr, colids, values);
+  for (bool complemented : {false, true}) {
+    for (int lists : {1, 2, 3, 7, 16}) {
+      const auto part = build_mask_partition<int>(flops, m, complemented, lists);
+      EXPECT_EQ(part.lists(), lists);
+      std::vector<int> seen(flops.size(), 0);
+      for (int l = 0; l < part.lists(); ++l) {
+        for (const auto& item : part.list(l)) {
+          EXPECT_EQ(item.mask, 0);
+          ++seen[static_cast<std::size_t>(item.row)];
+        }
+      }
+      for (std::size_t i = 0; i < flops.size(); ++i) {
+        const bool admitted = complemented || i % 2 == 0;
+        EXPECT_EQ(seen[i], flops[i] > 0 && admitted ? 1 : 0)
+            << "complemented " << complemented << " row " << i;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Pattern fingerprints
 // ---------------------------------------------------------------------------
 
