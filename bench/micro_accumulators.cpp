@@ -56,7 +56,7 @@ void args(benchmark::internal::Benchmark* b) {
   b->Args({1 << 12, 8, 8})     // comparable densities
       ->Args({1 << 12, 32, 4})  // dense inputs, sparse mask
       ->Args({1 << 12, 4, 64})  // sparse inputs, dense mask
-      ->Args({1 << 12, 64, 32})  // long B rows, dense mask: the SIMD bin
+      ->Args({1 << 12, 64, 32})  // long B rows, dense mask
       ->Unit(benchmark::kMillisecond);
 }
 

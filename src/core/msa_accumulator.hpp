@@ -4,7 +4,11 @@
 // `states` the NOTALLOWED/ALLOWED/SET automaton. For the non-complemented
 // mask, the gather pass iterates the mask row, which simultaneously emits
 // SET entries (in mask order — stable/sorted) and resets every touched state
-// to NOTALLOWED, so no O(ncols) per-row reinitialization is needed.
+// to NOTALLOWED, so no O(ncols) per-row reinitialization is needed. The
+// per-visit state lookup is split into a branch-free filter over each B row
+// (which positions does the mask admit?) and an apply pass over only the
+// admitted positions, so an unpredictable admit pattern costs no
+// mispredicted branches and rejected columns are never written.
 //
 // For the complemented mask (paper: "the default state becomes ALLOWED, and
 // for each element in the mask we invoke setNotAllowed"), dense epoch
@@ -89,27 +93,30 @@ class MsaKernel {
   }
 
  private:
-  // The plain (non-complemented) paths are written branch-free over the
-  // SoA state/value lanes so the compiler can autovectorize them. Within
-  // one inner loop over a B row the column ids are strictly increasing
-  // (CsrMatrix invariant), so the scattered updates touch distinct lanes
-  // and `omp simd` is sound; select-stores replace the state branches.
-  // Bit-identity with the branchy form: per output column the sequence of
-  // SR::add applications is unchanged (one per visiting (p,q) in the same
-  // order), and a not-admitted lane is rewritten with its own loaded
-  // value — the semiring ops stay unevaluated-in-effect for it.
-  //
-  // The select-stores trade a perfectly predicted skip branch for
-  // unconditional value/state traffic on every visited lane, which only
-  // pays when a noticeable fraction of lanes are admitted. Rows whose mask
-  // density is below 1/2^kSimdMaskDensityShift of ncols keep the branchy
-  // early-skip loop — there the product is almost always discarded and the
-  // branch-free form is pure extra multiplies and dirtied cache lines.
-  static constexpr int kSimdMaskDensityShift = 7;
+  // The plain (non-complemented) paths filter, then apply, over chunks of
+  // kAdmitChunk B entries (a 512-byte position buffer that stays in L1).
+  // Admitted positions are applied in their original order, so per output
+  // column the sequence of SR::add applications is that of the paper's
+  // per-entry loop, and the output is bit-identical to it.
+  static constexpr std::ptrdiff_t kAdmitChunk = 256;
 
-  bool branch_free_row(std::ptrdiff_t mask_len) const {
-    return (mask_len << kSimdMaskDensityShift) >=
-           static_cast<std::ptrdiff_t>(b_.ncols);
+  /// Calls `apply(q)` for every q in [0, blen) whose column bcols[q] the
+  /// current mask row admits (state not kNotAllowed), in increasing q.
+  template <class Apply>
+  static void for_each_admitted(const IT* bcols, std::ptrdiff_t blen,
+                                const EntryState* states, Apply&& apply) {
+    std::uint16_t admitted[kAdmitChunk];  // only [0, n) is read: all written
+    for (std::ptrdiff_t base = 0; base < blen; base += kAdmitChunk) {
+      const IT* const chunk = bcols + base;
+      const std::ptrdiff_t len = std::min(kAdmitChunk, blen - base);
+      std::ptrdiff_t n = 0;
+      for (std::ptrdiff_t q = 0; q < len; ++q) {
+        admitted[n] = static_cast<std::uint16_t>(q);
+        n += states[static_cast<std::size_t>(chunk[q])] !=
+             EntryState::kNotAllowed;
+      }
+      for (std::ptrdiff_t t = 0; t < n; ++t) apply(base + admitted[t]);
+    }
   }
 
   IT numeric_plain(IT i, IT* out_cols, VT* out_vals) {
@@ -124,7 +131,6 @@ class MsaKernel {
     for (std::ptrdiff_t t = 0; t < mlen; ++t) {
       states[static_cast<std::size_t>(madm[t])] = EntryState::kAllowed;
     }
-    const bool branch_free = branch_free_row(mlen);
     for (IT p = a_.rowptr[i]; p < a_.rowptr[i + 1]; ++p) {
       const IT k = a_.colids[p];
       const VT av = a_.values[p];
@@ -132,28 +138,13 @@ class MsaKernel {
       const VT* const bvals = b_.values.data() + b_.rowptr[k];
       const auto blen =
           static_cast<std::ptrdiff_t>(b_.rowptr[k + 1] - b_.rowptr[k]);
-      if (!branch_free) {
-        for (std::ptrdiff_t q = 0; q < blen; ++q) {
-          const std::size_t j = static_cast<std::size_t>(bcols[q]);
-          const EntryState st = states[j];
-          if (st == EntryState::kNotAllowed) continue;
-          const VT prod = SR::multiply(av, bvals[q]);
-          values[j] = st == EntryState::kSet ? SR::add(values[j], prod) : prod;
-          states[j] = EntryState::kSet;
-        }
-        continue;
-      }
-#pragma omp simd
-      for (std::ptrdiff_t q = 0; q < blen; ++q) {
+      for_each_admitted(bcols, blen, states, [&](std::ptrdiff_t q) {
         const std::size_t j = static_cast<std::size_t>(bcols[q]);
-        const EntryState st = states[j];
-        const VT cur = values[j];
         const VT prod = SR::multiply(av, bvals[q]);
-        values[j] = st == EntryState::kSet       ? SR::add(cur, prod)
-                    : st == EntryState::kAllowed ? prod
-                                                 : cur;
-        states[j] = st == EntryState::kNotAllowed ? st : EntryState::kSet;
-      }
+        values[j] = states[j] == EntryState::kSet ? SR::add(values[j], prod)
+                                                  : prod;
+        states[j] = EntryState::kSet;
+      });
     }
     // Contiguous mask-order gather. The output store stays guarded: the
     // caller's buffer may be sized to the exact row count (2P numeric),
@@ -182,25 +173,14 @@ class MsaKernel {
     for (std::ptrdiff_t t = 0; t < mlen; ++t) {
       states[static_cast<std::size_t>(madm[t])] = EntryState::kAllowed;
     }
-    const bool branch_free = branch_free_row(mlen);
     for (IT p = a_.rowptr[i]; p < a_.rowptr[i + 1]; ++p) {
       const IT k = a_.colids[p];
       const IT* const bcols = b_.colids.data() + b_.rowptr[k];
       const auto blen =
           static_cast<std::ptrdiff_t>(b_.rowptr[k + 1] - b_.rowptr[k]);
-      if (!branch_free) {
-        for (std::ptrdiff_t q = 0; q < blen; ++q) {
-          const std::size_t j = static_cast<std::size_t>(bcols[q]);
-          if (states[j] == EntryState::kAllowed) states[j] = EntryState::kSet;
-        }
-        continue;
-      }
-#pragma omp simd
-      for (std::ptrdiff_t q = 0; q < blen; ++q) {
-        const std::size_t j = static_cast<std::size_t>(bcols[q]);
-        const EntryState st = states[j];
-        states[j] = st == EntryState::kAllowed ? EntryState::kSet : st;
-      }
+      for_each_admitted(bcols, blen, states, [&](std::ptrdiff_t q) {
+        states[static_cast<std::size_t>(bcols[q])] = EntryState::kSet;
+      });
     }
     IT cnt = 0;
 #pragma omp simd reduction(+ : cnt)

@@ -326,10 +326,15 @@ class WireReader {
   [[nodiscard]] bool exhausted() const { return p_ == end_; }
 
  private:
+  // The throw lives in a cold [[noreturn]] helper so the inlined size
+  // check in require() shows the optimizer that a short read never reaches
+  // get_pod's memcpy (GCC 12's -Warray-bounds otherwise flags it).
+  [[noreturn, gnu::cold, gnu::noinline]] static void short_payload() {
+    throw io_error("serve: short payload (truncated message)");
+  }
+
   void require(std::uint64_t n) const {
-    if (n > static_cast<std::uint64_t>(end_ - p_)) {
-      throw io_error("serve: short payload (truncated message)");
-    }
+    if (n > static_cast<std::uint64_t>(end_ - p_)) short_payload();
   }
 
   template <class T>

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "core/baseline.hpp"
 #include "core/hash_accumulator.hpp"
 #include "core/heap_kernel.hpp"
 #include "core/inner_kernel.hpp"
@@ -229,6 +231,98 @@ TEST(MsaKernel, ComplementEpochReuse) {
 }
 TEST(HashKernel, ComplementEpochReuse) {
   check_complement_epoch_reuse<HashKernel<SR, IT, VT, VT>>();
+}
+
+/// Exact bitwise comparison (csr_equal compares values with ==, under
+/// which -0.0 equals +0.0).
+template <class I>
+::testing::AssertionResult bit_identical(const CsrMatrix<I, VT>& expected,
+                                         const CsrMatrix<I, VT>& actual) {
+  auto same = msp::testing::csr_equal(expected, actual);
+  if (!same) return same;
+  for (std::size_t p = 0; p < expected.values.size(); ++p) {
+    if (std::signbit(expected.values[p]) != std::signbit(actual.values[p])) {
+      return ::testing::AssertionFailure()
+             << "value slot " << p << ": sign of zero differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The plain MSA paths scan each B row in fixed chunks of admit filtering:
+/// rows of length 0, 1, 255, 256, 257 and 3*256+17 straddle every chunk
+/// boundary case, under mask rows that admit no visited column, every
+/// other column, and every column. Products that land on one column come
+/// from several B rows with values (1e16, 1.0, -1e16) whose sum depends on
+/// the order they are added, and some products are -0.0, so the checks
+/// compare bits against the dot-product oracle.
+template <class I>
+void check_long_rows_across_chunks() {
+  const std::vector<I> lens = {0, 1, 255, 256, 257, 3 * 256 + 17};
+  const I nb = static_cast<I>(lens.size());
+  const I n = 3 * 256 + 17 + nb + 8;  // last column is never visited
+  const VT pattern[] = {1e16, 1.0, -1e16, 0.0};
+  CooMatrix<I, VT> b(nb, n);
+  for (I r = 0; r < nb; ++r) {
+    for (I q = 0; q < lens[static_cast<std::size_t>(r)]; ++q) {
+      b.push(r, r + q, pattern[static_cast<std::size_t>((2 * r + q) % 4)]);
+    }
+  }
+  const auto bm = coo_to_csr(std::move(b));
+  // A row 0 visits every B row, row 1 the long rows only, and row 2 the
+  // longest row scaled by -1.0 (so its 0.0 entries give -0.0 products).
+  CooMatrix<I, VT> a(3, nb);
+  for (I k = 0; k < nb; ++k) a.push(0, k, 1.0);
+  for (I k = 3; k < nb; ++k) a.push(1, k, 1.0);
+  a.push(2, nb - 1, -1.0);
+  const auto am = coo_to_csr(std::move(a));
+
+  enum Admit { kNone, kEveryOther, kAll };
+  for (Admit admit : {kNone, kEveryOther, kAll}) {
+    CooMatrix<I, VT> m(3, n);
+    for (I i = 0; i < 3; ++i) {
+      if (admit == kNone) m.push(i, n - 1, 1.0);
+      for (I j = 0; admit != kNone && j < n; j += admit == kAll ? 1 : 2) {
+        m.push(i, j, 1.0);
+      }
+    }
+    const auto mm = coo_to_csr(std::move(m));
+    const auto expected = baseline_dot<SR>(am, bm, mm);
+    if (admit == kAll) {
+      // The fixture must exercise what it claims: a -0.0 output, and an
+      // output whose value changes if its products are summed in reverse.
+      bool neg_zero = false;
+      for (VT v : expected.values) neg_zero |= v == 0.0 && std::signbit(v);
+      EXPECT_TRUE(neg_zero);
+      const auto ref = to_dense(bm);
+      bool order_sensitive = false;
+      for (std::size_t j = 0; j < ref.ncols; ++j) {
+        VT fwd = 0.0, rev = 0.0;
+        for (std::size_t k = 0; k < ref.nrows; ++k) fwd += ref.at(k, j);
+        for (std::size_t k = ref.nrows; k-- > 0;) rev += ref.at(k, j);
+        order_sensitive |= fwd != rev;
+      }
+      EXPECT_TRUE(order_sensitive);
+    }
+    for (MaskedPhase phase : {MaskedPhase::kOnePhase, MaskedPhase::kTwoPhase}) {
+      MaskedSpgemmOptions opt;
+      opt.algorithm = MaskedAlgorithm::kMsa;
+      opt.phase = phase;
+      EXPECT_TRUE(bit_identical(expected, masked_multiply<SR>(am, bm, mm, opt)))
+          << "admit " << admit << " phase " << static_cast<int>(phase);
+    }
+    MsaKernel<SR, I, VT, VT> kernel(am, bm, mm, /*complemented=*/false);
+    for (I i = 0; i < 3; ++i) {
+      EXPECT_EQ(kernel.symbolic_row(i),
+                expected.rowptr[i + 1] - expected.rowptr[i])
+          << "admit " << admit << " row " << i;
+    }
+  }
+}
+
+TEST(MsaKernel, LongRowsAcrossFilterChunks) {
+  check_long_rows_across_chunks<int>();
+  check_long_rows_across_chunks<std::int64_t>();
 }
 
 TEST(McaKernel, RejectsComplement) {
