@@ -15,9 +15,11 @@
 // batch and queries; the incremental side keeps one engine and all three
 // handles warm across repetitions, so its query answers from the engine's
 // incremental result splice: only the rows dirty since the previous result
-// are recomputed (their symbolic included), everything else is reused —
-// plan_rows_refreshed and symbolic_skipped in the output are the
-// observable proof that untouched row blocks skipped their symbolic pass.
+// are recomputed, one-phase on the full bound operands (each row bounded
+// by its mask row, so no symbolic pass and no plan), and one parallel
+// assembly pass reuses every other cached row — plan_rows_refreshed
+// (the rows recomputed) and symbolic_skipped in the output are the
+// observable proof.
 // Both paths pay the same apply_updates cost; the delta is pure plan/query
 // work. Results are verified bit-identical per repetition.
 //

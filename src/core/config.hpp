@@ -75,7 +75,8 @@ struct MaskedSpgemmStats {
   /// the dirty row blocks of a structure_changed update stream. 0 on a
   /// clean hit; nrows on a conservative full refresh. Together with
   /// symbolic_skipped this is the observable proof that untouched row
-  /// blocks skipped their symbolic pass.
+  /// blocks skipped their symbolic pass. On an Engine result splice: the
+  /// rows recomputed by this call (0 when nothing was dirty).
   std::size_t plan_rows_refreshed = 0;
 
   /// output_nnz / bound_nnz — how tight the paper's nnz(M) bound was

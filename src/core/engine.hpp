@@ -45,8 +45,10 @@
 // thin deprecated shims forwarding here.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <tuple>
 #include <type_traits>
@@ -327,95 +329,6 @@ class Engine {
       hints.flops = a_handle->flops_with(b, *hints.fb, hints.b_dirty);
     }
 
-    // --- incremental result splice ----------------------------------------
-    // With all three operands bound and A in identity-fingerprint mode
-    // (every mutation of A flows through its dirty log), the engine keeps
-    // the previous result per configuration. Masked SpGEMM is row-local —
-    // C(i,:) = M(i,:) ⊙ (A(i,:)·B) — so when only a few row runs of A
-    // changed since that result (B and M untouched, checked via their
-    // values versions), the query recomputes exactly those runs and
-    // stitches them into the cached rows: the same row-block decomposition
-    // the sharded path is built on, hence bit-identical to a full rebuild.
-    // kAuto is excluded — its per-call algorithm choice on a row slice
-    // could differ from the full-matrix choice and change the floating-
-    // point summation order.
-    const bool splice_eligible =
-        scheme != Scheme::kAuto && hints.fa.has_value() &&
-        hints.fb.has_value() && hints.fm.has_value() &&
-        a_handle->dirty_log() != nullptr;
-    const std::type_index splice_sig(
-        typeid(std::tuple<SR, CsrMatrix<IT, VT>, CsrMatrix<IT, MT>>));
-    if (splice_eligible) {
-      ResultCacheEntry* entry =
-          find_result(splice_sig, scheme, kind, semantics, *hints.fa,
-                      *hints.fb, *hints.fm);
-      if (entry != nullptr &&
-          entry->a_log_id == a_handle->dirty_log()->id() &&
-          entry->b_values_version == b_handle->values_version() &&
-          entry->m_values_version == m_handle->values_version()) {
-        const StructureDirtyLog<IT>& log = *a_handle->dirty_log();
-        std::vector<std::pair<IT, IT>> runs;
-        for (const auto& r : log.ranges_since(entry->a_epoch)) {
-          runs.emplace_back(std::max<IT>(r.begin, 0),
-                            std::min<IT>(r.end, a.nrows));
-        }
-        std::sort(runs.begin(), runs.end());
-        runs = coalesce_dirty_ranges<IT>(runs);
-        std::size_t dirty_rows = 0;
-        for (const auto& [lo, hi] : runs) {
-          dirty_rows += hi > lo ? static_cast<std::size_t>(hi - lo) : 0;
-        }
-        const auto& prev =
-            *static_cast<const CsrMatrix<IT, VT>*>(entry->result.get());
-        // The cached previous result must have the exact output shape the
-        // current operands produce, or stitching row blocks into it would
-        // silently serve a result for different operands.
-        MSP_CHECK_SPLICE(prev, a.nrows, b.ncols, "Engine::multiply_scheme");
-        if (dirty_rows == 0) {
-          if (stats != nullptr) {
-            stats->plan_cache_hit = true;
-            stats->symbolic_skipped = true;
-          }
-          ctx_->record_splice(0);
-          return prev;
-        }
-        if (dirty_rows * 2 < static_cast<std::size_t>(a.nrows)) {
-          std::vector<CsrMatrix<IT, VT>> parts;
-          IT cursor = 0;
-          for (const auto& [lo, hi] : runs) {
-            if (hi <= lo) continue;
-            if (cursor < lo) parts.push_back(slice_rows(prev, cursor, lo));
-            const CsrMatrix<IT, VT> a_blk = slice_rows(a, lo, hi);
-            const CsrMatrix<IT, MT> m_blk = slice_rows(m, lo, hi);
-            // Recompute the dirty block with the same scheme; B keeps its
-            // handle so the slice multiply reuses B's fingerprint (and CSC
-            // cache for inner-product schemes) instead of rehashing B.
-            parts.push_back(multiply_scheme<SR>(scheme, a_blk, b, m_blk,
-                                                kind, semantics, nullptr,
-                                                nullptr, b_handle));
-            cursor = hi;
-          }
-          if (cursor < a.nrows) {
-            parts.push_back(slice_rows(prev, cursor, a.nrows));
-          }
-          CsrMatrix<IT, VT> out = stitch_row_blocks(parts, b.ncols);
-          MSP_CHECK_SPLICE(out, a.nrows, b.ncols, "Engine::multiply_scheme");
-          MSP_CHECK_CSR(out, "Engine::multiply_scheme(splice)");
-          entry->result = std::make_shared<CsrMatrix<IT, VT>>(out);
-          entry->a_epoch = log.epoch();
-          if (stats != nullptr) {
-            stats->plan_cache_hit = true;
-            stats->symbolic_skipped = true;
-            stats->plan_rows_refreshed += dirty_rows;
-          }
-          ctx_->record_splice(dirty_rows);
-          return out;
-        }
-        // Too much of the matrix is dirty: the full path below is cheaper
-        // and refreshes the cache entry on its way out.
-      }
-    }
-
     MaskedSpgemmOptions opt;
     opt.mask_kind = kind;
     opt.mask_semantics = semantics;
@@ -447,6 +360,85 @@ class Engine {
       hints.b_values_version = b_handle->values_version();
       any_hint = true;
     }
+
+    // --- incremental result splice ----------------------------------------
+    // With all three operands bound and A in identity-fingerprint mode
+    // (every mutation of A flows through its dirty log), the engine keeps
+    // the previous result per configuration. Masked SpGEMM is row-local —
+    // C(i,:) = M(i,:) ⊙ (A(i,:)·B) — so when only a few row runs of A
+    // changed since that result (B and M untouched, checked via their
+    // values versions), the query recomputes exactly those rows on the
+    // full, bound operands (ExecutionContext::splice_rows): one-phase,
+    // bounded by the mask rows, through the scheme's own numeric_row, with
+    // no plan and no fingerprint. One parallel pass assembles the cached
+    // clean rows and the recomputed dirty rows into the new result, which
+    // is cached and returned as one parallel copy. Every row is written by
+    // the same kernel call a full run makes, hence bit-identical to a full
+    // rebuild. kAuto is excluded — its per-call algorithm choice could
+    // differ between calls and change the floating-point summation order.
+    // (The fingerprints imply bound handles; the null checks say so to the
+    // compiler, which otherwise warns on calls with null literal handles.)
+    const bool splice_eligible =
+        scheme != Scheme::kAuto && hints.fa.has_value() &&
+        hints.fb.has_value() && hints.fm.has_value() &&
+        b_handle != nullptr && m_handle != nullptr &&
+        a_handle->dirty_log() != nullptr;
+    const std::type_index splice_sig(
+        typeid(std::tuple<SR, CsrMatrix<IT, VT>, CsrMatrix<IT, MT>>));
+    if (splice_eligible) {
+      ResultCacheEntry* entry =
+          find_result(splice_sig, scheme, kind, semantics, *hints.fa,
+                      *hints.fb, *hints.fm);
+      if (entry != nullptr &&
+          entry->a_log_id == a_handle->dirty_log()->id() &&
+          entry->b_values_version == b_handle->values_version() &&
+          entry->m_values_version == m_handle->values_version()) {
+        const StructureDirtyLog<IT>& log = *a_handle->dirty_log();
+        std::vector<std::pair<IT, IT>> runs;
+        for (const auto& r : log.ranges_since(entry->a_epoch)) {
+          runs.emplace_back(std::max<IT>(r.begin, 0),
+                            std::min<IT>(r.end, a.nrows));
+        }
+        std::sort(runs.begin(), runs.end());
+        runs = coalesce_dirty_ranges<IT>(runs);
+        std::erase_if(runs, [](const auto& r) { return r.second <= r.first; });
+        std::size_t dirty_rows = 0;
+        for (const auto& [lo, hi] : runs) {
+          dirty_rows += static_cast<std::size_t>(hi - lo);
+        }
+        const auto& prev =
+            *static_cast<const CsrMatrix<IT, VT>*>(entry->result.get());
+        // The cached previous result must have the exact output shape the
+        // current operands produce, or splicing rows into it would
+        // silently serve a result for different operands.
+        MSP_CHECK_SPLICE(prev, a.nrows, b.ncols, "Engine::multiply_scheme");
+        if (dirty_rows == 0) {
+          if (stats != nullptr) {
+            *stats = MaskedSpgemmStats{};
+            stats->plan_cache_hit = true;
+            stats->symbolic_skipped = true;
+            stats->output_nnz = prev.nnz();
+            stats->total_flops = std::accumulate(
+                hints.flops->begin(), hints.flops->end(), std::int64_t{0});
+          }
+          ctx_->record_splice(0);
+          return parallel_copy(prev);
+        }
+        if (dirty_rows * 2 < static_cast<std::size_t>(a.nrows)) {
+          auto next = std::make_shared<CsrMatrix<IT, VT>>(
+              ctx_->splice_rows<SR>(a, b, m, opt, hints, runs, prev));
+          MSP_CHECK_SPLICE(*next, a.nrows, b.ncols, "Engine::multiply_scheme");
+          MSP_CHECK_CSR(*next, "Engine::multiply_scheme(splice)");
+          entry->result = next;  // releases prev
+          entry->a_epoch = log.epoch();
+          ctx_->record_splice(dirty_rows);
+          return parallel_copy(*next);
+        }
+        // Too much of the matrix is dirty: the full path below is cheaper
+        // and refreshes the cache entry on its way out.
+      }
+    }
+
     CsrMatrix<IT, VT> out =
         ctx_->multiply<SR>(a, b, m, opt, any_hint ? &hints : nullptr);
     if (sel != nullptr && opt.stats != nullptr) sel->observe(*opt.stats);

@@ -33,8 +33,10 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <numeric>
 #include <typeindex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -87,8 +89,10 @@ class ExecutionContext {
     /// tracking skipped for untouched blocks.
     std::size_t plan_rows_refreshed = 0;
     /// Queries served by the Engine's incremental result splice: only the
-    /// rows dirty since the cached previous result were recomputed and
-    /// stitched into the untouched rows (bit-identical by row locality).
+    /// rows dirty since the cached previous result were recomputed,
+    /// one-phase on the full bound operands with no plan
+    /// (ExecutionContext::splice_rows), and assembled with the cached
+    /// clean rows in one parallel pass (bit-identical by row locality).
     std::size_t result_splices = 0;
     /// Rows recomputed across those splices; everything else was reused.
     std::size_t result_rows_recomputed = 0;
@@ -245,6 +249,112 @@ class ExecutionContext {
     ptrs.reserve(masks.size());
     for (const auto& m : masks) ptrs.push_back(&m);
     return multiply_batch<SR>(a, b, ptrs, opt);
+  }
+
+  /// Row-restricted recompute behind the Engine's incremental result
+  /// splice. `prev` is this configuration's result on operands that differ
+  /// from (a, b, m) only in A's rows `runs` (sorted, disjoint, in range).
+  /// Those rows are recomputed one-phase on the full operands through the
+  /// scheme's own kernel, with this context's per-thread scratch, into
+  /// bounded temporaries: the mask row bounds each output row, so no
+  /// symbolic pass is needed, and since both drivers write a row with the
+  /// same numeric_row call the phase never changes the bits. One parallel
+  /// pass then assembles the result: clean rows from `prev`, dirty rows
+  /// from the recomputed block. No plan is looked up or built and nothing
+  /// is fingerprinted. `hints.flops` must hold the current per-row flops
+  /// of A·B; an Inner run reads B's transpose from `hints.b_csc` under
+  /// `hints.b_values_version`. `opt.stats`, when set, is overwritten with
+  /// this call's figures (plan_rows_refreshed = the rows recomputed).
+  template <Semiring SR, class IT, class VT, class MT>
+  CsrMatrix<IT, VT> splice_rows(const CsrMatrix<IT, VT>& a,
+                                const CsrMatrix<IT, VT>& b,
+                                const CsrMatrix<IT, MT>& m,
+                                const MaskedSpgemmOptions& opt,
+                                const SpgemmOperandHints<IT, VT>& hints,
+                                const std::vector<std::pair<IT, IT>>& runs,
+                                const CsrMatrix<IT, VT>& prev) {
+    const bool complemented = opt.mask_kind == MaskKind::kComplement;
+    if (complemented && opt.algorithm == MaskedAlgorithm::kMca) {
+      throw invalid_argument_error("MCA does not support complemented masks");
+    }
+    detail::validate_shapes(a.nrows, a.ncols, b.nrows, b.ncols, m);
+    if (hints.flops == nullptr ||
+        hints.flops->size() != static_cast<std::size_t>(a.nrows) ||
+        (opt.algorithm == MaskedAlgorithm::kInner && hints.b_csc == nullptr)) {
+      throw invalid_argument_error(
+          "ExecutionContext::splice_rows: flops (and, for Inner, B's "
+          "transpose cache) must be supplied");
+    }
+    Timer plan_timer;
+    const std::vector<std::int64_t>& flops = *hints.flops;
+    // The dirty rows in ascending order: local row k stands for rows[k].
+    std::vector<IT> rows;
+    for (const auto& [lo, hi] : runs) {
+      for (IT i = lo; i < hi; ++i) rows.push_back(i);
+    }
+    const auto nd = static_cast<IT>(rows.size());
+    // Valued semantics: drop explicit zeros from the dirty mask rows only
+    // (the kernels never read any other row).
+    const bool valued = opt.mask_semantics == MaskSemantics::kValued;
+    const CsrMatrix<IT, MT> held =
+        valued ? drop_explicit_zeros_in_runs(m, runs) : CsrMatrix<IT, MT>{};
+    const CsrMatrix<IT, MT>& mm = valued ? held : m;
+    // The plan's one-phase bounds (SpgemmPlan::ensure_bounds) and partition
+    // rule (build_mask_partition), over the dirty rows only.
+    std::vector<std::int64_t> dirty_flops(rows.size());
+    std::vector<std::size_t> ub(rows.size());
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      dirty_flops[k] = flops[static_cast<std::size_t>(rows[k])];
+      ub[k] = row_output_bound(opt.mask_kind,
+                               static_cast<std::size_t>(mm.row_nnz(rows[k])),
+                               static_cast<std::size_t>(b.ncols),
+                               dirty_flops[k]);
+    }
+    const BatchRowPartition<IT> partition = build_batch_partition<IT>(
+        dirty_flops, 1,
+        [&](std::int32_t, IT k) {
+          return complemented ||
+                 mm.row_nnz(rows[static_cast<std::size_t>(k)]) > 0;
+        },
+        max_threads());
+    const CscMatrix<IT, VT>* b_csc =
+        opt.algorithm == MaskedAlgorithm::kInner
+            ? &hints.b_csc->ensure(b, hints.b_values_version)
+            : nullptr;
+    prepare_threads(max_threads());
+    const double plan_seconds = plan_timer.seconds();
+    stats_.plan_seconds += plan_seconds;
+
+    MaskedSpgemmStats run_stats;
+    const CsrMatrix<IT, VT> block = with_kernel<SR, IT, VT, MT>(
+        opt, a, b, [&](int) -> const CsrMatrix<IT, MT>& { return mm; },
+        [&](int) -> const CscMatrix<IT, VT>& { return *b_csc; },
+        [&](int) { return flops.data(); },
+        [&](auto&& factory) {
+          auto mapped = [&](int tid, int q) {
+            return detail::RowMappedKernel<decltype(factory(tid, q)), IT>{
+                factory(tid, q), rows.data()};
+          };
+          return std::move(detail::run_batch_one_phase<IT, VT>(
+                               nd, b.ncols, {&ub}, mapped, partition,
+                               {nullptr}, &run_stats)
+                               .front());
+        });
+    Timer assemble_timer;
+    CsrMatrix<IT, VT> out = splice_row_runs(prev, runs, block);
+    if (opt.stats != nullptr) {
+      MaskedSpgemmStats& st = *opt.stats;
+      st = run_stats;
+      st.assemble_seconds += assemble_timer.seconds();
+      st.output_nnz = out.nnz();
+      st.plan_seconds = plan_seconds;
+      st.plan_cache_hit = true;
+      st.symbolic_skipped = true;
+      st.total_flops =
+          std::accumulate(flops.begin(), flops.end(), std::int64_t{0});
+      st.plan_rows_refreshed = rows.size();
+    }
+    return out;
   }
 
  private:
@@ -442,18 +552,39 @@ class ExecutionContext {
     }
 
     const IT nrows = masks[0]->nrows;
-    auto run = [&](auto&& factory) {
-      if (phase == MaskedPhase::kOnePhase) {
-        return detail::run_batch_one_phase<IT, VT>(
-            nrows, b.ncols, ub, factory, partition, sinks, opt.stats);
-      }
-      return detail::run_batch_two_phase<IT, VT>(
-          nrows, b.ncols, factory, partition, cached, sinks, opt.stats);
-    };
-    auto mask_of = [&](int q) -> const CsrMatrix<IT, MT>& {
-      return *eff[static_cast<std::size_t>(q)];
-    };
+    return with_kernel<SR, IT, VT, MT>(
+        opt, a, b,
+        [&](int q) -> const CsrMatrix<IT, MT>& {
+          return *eff[static_cast<std::size_t>(q)];
+        },
+        [&](int q) -> const CscMatrix<IT, VT>& {
+          return *b_cscs[static_cast<std::size_t>(q)];
+        },
+        [&](int q) {
+          return plans[static_cast<std::size_t>(q)]->flops().data();
+        },
+        [&](auto&& factory) {
+          if (phase == MaskedPhase::kOnePhase) {
+            return detail::run_batch_one_phase<IT, VT>(
+                nrows, b.ncols, ub, factory, partition, sinks, opt.stats);
+          }
+          return detail::run_batch_two_phase<IT, VT>(
+              nrows, b.ncols, factory, partition, cached, sinks, opt.stats);
+        });
+  }
 
+  /// The one kernel switch behind execute and splice_rows: binds the
+  /// kernel `opt.algorithm` names — with this context's per-thread scratch
+  /// — into a factory `(tid, q) -> kernel` and returns `run(factory)`.
+  /// `mask_of(q)` is mask q's effective mask, `csc_of(q)` B's transpose
+  /// (Inner only), `flops_of(q)` the per-row flops the adaptive router
+  /// reads.
+  template <Semiring SR, class IT, class VT, class MT, class MaskOf,
+            class CscOf, class FlopsOf, class Run>
+  auto with_kernel(const MaskedSpgemmOptions& opt, const CsrMatrix<IT, VT>& a,
+                   const CsrMatrix<IT, VT>& b, MaskOf&& mask_of,
+                   CscOf&& csc_of, FlopsOf&& flops_of, Run&& run) {
+    const bool complemented = opt.mask_kind == MaskKind::kComplement;
     switch (opt.algorithm) {
       case MaskedAlgorithm::kMsa: {
         using K = MsaKernel<SR, IT, VT, MT>;
@@ -491,16 +622,14 @@ class ExecutionContext {
       case MaskedAlgorithm::kInner: {
         using K = InnerKernel<SR, IT, VT, MT>;
         return run([&](int, int q) {
-          return K(a, *b_cscs[static_cast<std::size_t>(q)], mask_of(q),
-                   complemented);
+          return K(a, csc_of(q), mask_of(q), complemented);
         });
       }
       case MaskedAlgorithm::kAdaptive: {
         using K = AdaptiveKernel<SR, IT, VT, MT>;
         return run([&](int tid, int q) {
           return K(a, b, mask_of(q), complemented,
-                   typename K::Policy{.table = opt.route_table},
-                   plans[static_cast<std::size_t>(q)]->flops().data(),
+                   typename K::Policy{.table = opt.route_table}, flops_of(q),
                    &scratch<typename K::Scratch>(tid));
         });
       }

@@ -94,6 +94,22 @@ void for_each_batch_item(const BatchRowPartition<IT>& partition,
   }
 }
 
+/// A kernel that serves local row k of a row-restricted one-phase run as
+/// row `rows[k]` of the full operands, so the one-phase driver recomputes
+/// an arbitrary ascending row subset (ExecutionContext::splice_rows) with
+/// unchanged kernel code.
+template <class Kernel, class IT>
+struct RowMappedKernel {
+  Kernel kernel;
+  const IT* rows;
+
+  template <class VT>
+  IT numeric_row(IT k, IT* out_cols, VT* out_vals) {
+    return kernel.numeric_row(rows[static_cast<std::size_t>(k)], out_cols,
+                              out_vals);
+  }
+};
+
 /// One-phase driver: N outputs in one pass over the (mask, row)
 /// partition. `ub[q][i]` bounds row i's output size under mask q; each
 /// temporary is laid out by the prefix sum of its bounds, and computed rows

@@ -409,6 +409,20 @@ struct CscTransposeCache {
                             std::move(rowids), std::vector<VT>(nnz));
   }
 
+  /// The transpose of `b`, values current: the structure is built once,
+  /// and the O(nnz) value gather is skipped while `values_version` (a
+  /// BoundMatrix values version) is the one last gathered for. Version 0
+  /// — raw callers, no contract — always re-gathers.
+  const CscMatrix<IT, VT>& ensure(const CsrMatrix<IT, VT>& b,
+                                  std::uint64_t values_version) {
+    ensure_structure(b);
+    if (values_version == 0 || fresh_for_version != values_version) {
+      refresh_values(b);
+      fresh_for_version = values_version;
+    }
+    return csc;
+  }
+
   void refresh_values(const CsrMatrix<IT, VT>& b) {
     MSP_ASSERT(built);
 #pragma omp parallel for schedule(static)
@@ -465,6 +479,16 @@ struct SpgemmOperandHints {
   const StructureDirtyLog<IT>* b_dirty = nullptr;
   const StructureDirtyLog<IT>* m_dirty = nullptr;
 };
+
+/// One-phase bound of one output row given its per-row flops (paper §6):
+/// min(nnz(M(i,:)), flops(i)) under a regular mask, min(ncols −
+/// nnz(M(i,:)), flops(i)) under a complemented one.
+inline std::size_t row_output_bound(MaskKind kind, std::size_t mask_nnz,
+                                    std::size_t ncols, std::int64_t flops) {
+  const std::size_t allowed =
+      kind == MaskKind::kMask ? mask_nnz : ncols - mask_nnz;
+  return std::min(allowed, static_cast<std::size_t>(flops));
+}
 
 // ---------------------------------------------------------------------------
 // SpgemmPlan
@@ -552,14 +576,10 @@ class SpgemmPlan {
       bounds_.resize(static_cast<std::size_t>(nrows_));
 #pragma omp parallel for schedule(static)
       for (IT i = 0; i < nrows_; ++i) {
-        const auto mask_nnz = static_cast<std::size_t>(mm.row_nnz(i));
-        const auto f =
-            static_cast<std::size_t>((*flops_)[static_cast<std::size_t>(i)]);
-        const std::size_t allowed =
-            kind_ == MaskKind::kMask
-                ? mask_nnz
-                : static_cast<std::size_t>(ncols_) - mask_nnz;
-        bounds_[static_cast<std::size_t>(i)] = std::min(allowed, f);
+        bounds_[static_cast<std::size_t>(i)] = row_output_bound(
+            kind_, static_cast<std::size_t>(mm.row_nnz(i)),
+            static_cast<std::size_t>(ncols_),
+            (*flops_)[static_cast<std::size_t>(i)]);
       }
     }
     return bounds_;
@@ -600,13 +620,7 @@ class SpgemmPlan {
     if (b_csc_ == nullptr) {
       b_csc_ = std::make_shared<CscTransposeCache<IT, VT>>();
     }
-    b_csc_->ensure_structure(b);
-    if (values_version == 0 ||
-        b_csc_->fresh_for_version != values_version) {
-      b_csc_->refresh_values(b);
-      b_csc_->fresh_for_version = values_version;
-    }
-    return b_csc_->csc;
+    return b_csc_->ensure(b, values_version);
   }
 
   /// The plan's transpose cache (null until first Inner execution or
@@ -856,14 +870,10 @@ class SpgemmPlan {
 #pragma omp parallel for schedule(static)
     for (IT i = 0; i < nrows_; ++i) {
       if (!dirty[static_cast<std::size_t>(i)]) continue;
-      const auto mask_nnz = static_cast<std::size_t>(mm.row_nnz(i));
-      const auto f =
-          static_cast<std::size_t>((*flops_)[static_cast<std::size_t>(i)]);
-      const std::size_t allowed =
-          kind_ == MaskKind::kMask
-              ? mask_nnz
-              : static_cast<std::size_t>(ncols_) - mask_nnz;
-      bounds_[static_cast<std::size_t>(i)] = std::min(allowed, f);
+      bounds_[static_cast<std::size_t>(i)] = row_output_bound(
+          kind_, static_cast<std::size_t>(mm.row_nnz(i)),
+          static_cast<std::size_t>(ncols_),
+          (*flops_)[static_cast<std::size_t>(i)]);
     }
   }
 

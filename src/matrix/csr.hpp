@@ -3,7 +3,9 @@
 // each row are kept sorted; every masked-SpGEMM kernel relies on this.
 #pragma once
 
+#include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/common.hpp"
@@ -98,8 +100,7 @@ struct CsrMatrix {
 };
 
 /// Copy rows [begin, end) of `a` as a self-contained CSR over the full
-/// column space — the shard payload, and the row block the incremental
-/// result splice recomputes.
+/// column space — the shard payload and the serve coordinator's row block.
 template <class IT, class VT>
 CsrMatrix<IT, VT> slice_rows(const CsrMatrix<IT, VT>& a, IT begin, IT end) {
   if (begin < 0 || end < begin || end > a.nrows) {
@@ -121,8 +122,8 @@ CsrMatrix<IT, VT> slice_rows(const CsrMatrix<IT, VT>& a, IT begin, IT end) {
 }
 
 /// Concatenate row blocks (in order) into one CSR — the inverse of the
-/// row-block split, used by the tiled driver to stitch per-shard results
-/// and by the incremental splice to reassemble cached + recomputed rows.
+/// row-block split, used by the tiled driver and the serve coordinator to
+/// stitch per-shard results.
 template <class IT, class VT>
 CsrMatrix<IT, VT> stitch_row_blocks(const std::vector<CsrMatrix<IT, VT>>& parts,
                                     IT ncols) {
@@ -153,6 +154,85 @@ CsrMatrix<IT, VT> stitch_row_blocks(const std::vector<CsrMatrix<IT, VT>>& parts,
   }
   return CsrMatrix<IT, VT>(nrows, ncols, std::move(rowptr), std::move(colids),
                            std::move(values));
+}
+
+/// Replace the row runs `runs` of `base` (sorted, disjoint [lo, hi)
+/// ranges) with the rows of `block`, which holds exactly those rows in run
+/// order; every other row is copied from `base`. One parallel pass: each
+/// task copies one contiguous stretch of rows of either source — the
+/// assembly of the Engine's incremental result splice.
+template <class IT, class VT>
+CsrMatrix<IT, VT> splice_row_runs(const CsrMatrix<IT, VT>& base,
+                                  const std::vector<std::pair<IT, IT>>& runs,
+                                  const CsrMatrix<IT, VT>& block) {
+  if (block.ncols != base.ncols) {
+    throw invalid_argument_error("splice_row_runs: column-count mismatch");
+  }
+  struct Piece {
+    const CsrMatrix<IT, VT>* src;
+    IT src_row;
+    IT out_row;
+    IT rows;
+    std::size_t out_pos;
+  };
+  // Long stretches are cut so the copy load-balances across threads.
+  constexpr IT kPieceRows = 4096;
+  std::vector<Piece> pieces;
+  std::size_t pos = 0;
+  auto add = [&](const CsrMatrix<IT, VT>& src, IT src_row, IT out_row,
+                 IT count) {
+    for (IT t = 0; t < count; t += kPieceRows) {
+      const IT len = std::min(kPieceRows, count - t);
+      pieces.push_back({&src, src_row + t, out_row + t, len, pos});
+      pos += static_cast<std::size_t>(src.rowptr[src_row + t + len] -
+                                      src.rowptr[src_row + t]);
+    }
+  };
+  IT cursor = 0;
+  IT k = 0;
+  for (const auto& [lo, hi] : runs) {
+    if (lo < cursor || hi < lo || hi > base.nrows ||
+        hi - lo > block.nrows - k) {
+      throw invalid_argument_error(
+          "splice_row_runs: runs out of order or range");
+    }
+    add(base, cursor, cursor, lo - cursor);
+    add(block, k, lo, hi - lo);
+    k += hi - lo;
+    cursor = hi;
+  }
+  if (k != block.nrows) {
+    throw invalid_argument_error("splice_row_runs: block/run row mismatch");
+  }
+  add(base, cursor, cursor, base.nrows - cursor);
+
+  CsrMatrix<IT, VT> out(base.nrows, base.ncols);
+  out.colids.resize(pos);
+  out.values.resize(pos);
+#pragma omp parallel for schedule(dynamic, 1)
+  for (std::size_t p = 0; p < pieces.size(); ++p) {
+    const Piece& pc = pieces[p];
+    const CsrMatrix<IT, VT>& src = *pc.src;
+    const IT first = src.rowptr[pc.src_row];
+    const auto at = static_cast<IT>(pc.out_pos);
+    for (IT t = 0; t < pc.rows; ++t) {
+      out.rowptr[pc.out_row + t + 1] =
+          at + (src.rowptr[pc.src_row + t + 1] - first);
+    }
+    const auto len =
+        static_cast<std::size_t>(src.rowptr[pc.src_row + pc.rows] - first);
+    std::copy_n(src.colids.data() + first, len,
+                out.colids.data() + pc.out_pos);
+    std::copy_n(src.values.data() + first, len,
+                out.values.data() + pc.out_pos);
+  }
+  return out;
+}
+
+/// A copy of `x` made by the same parallel pass (no rows replaced).
+template <class IT, class VT>
+CsrMatrix<IT, VT> parallel_copy(const CsrMatrix<IT, VT>& x) {
+  return splice_row_runs(x, {}, CsrMatrix<IT, VT>(0, x.ncols));
 }
 
 }  // namespace msp

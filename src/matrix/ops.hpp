@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <functional>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "matrix/convert.hpp"
@@ -178,6 +179,39 @@ CsrMatrix<IT, VT> select(const CsrMatrix<IT, VT>& a, Pred pred) {
 template <class IT, class VT>
 CsrMatrix<IT, VT> drop_explicit_zeros(const CsrMatrix<IT, VT>& m) {
   return select(m, [](IT, IT, const VT& v) { return v != VT{}; });
+}
+
+/// drop_explicit_zeros over the row runs `runs` (sorted, disjoint [lo, hi)
+/// ranges) only; every other row comes out empty. The valued mask of a
+/// row-restricted recompute (ExecutionContext::splice_rows): O(nrows) for
+/// the row pointers plus the entries of the runs.
+template <class IT, class VT>
+CsrMatrix<IT, VT> drop_explicit_zeros_in_runs(
+    const CsrMatrix<IT, VT>& m, const std::vector<std::pair<IT, IT>>& runs) {
+  CsrMatrix<IT, VT> out(m.nrows, m.ncols);
+  // Rows [from, to) between the runs, and the tail, stay empty.
+  auto empty_rows = [&](IT from, IT to) {
+    std::fill(out.rowptr.begin() + static_cast<std::ptrdiff_t>(from) + 1,
+              out.rowptr.begin() + static_cast<std::ptrdiff_t>(to) + 1,
+              static_cast<IT>(out.colids.size()));
+  };
+  IT cursor = 0;
+  for (const auto& [lo, hi] : runs) {
+    empty_rows(cursor, lo);
+    for (IT i = lo; i < hi; ++i) {
+      for (IT p = m.rowptr[i]; p < m.rowptr[i + 1]; ++p) {
+        if (m.values[static_cast<std::size_t>(p)] != VT{}) {
+          out.colids.push_back(m.colids[static_cast<std::size_t>(p)]);
+          out.values.push_back(m.values[static_cast<std::size_t>(p)]);
+        }
+      }
+      out.rowptr[static_cast<std::size_t>(i) + 1] =
+          static_cast<IT>(out.colids.size());
+    }
+    cursor = hi;
+  }
+  empty_rows(cursor, m.nrows);
+  return out;
 }
 
 /// Strictly lower-triangular part (col < row). Used by triangle counting.

@@ -18,6 +18,10 @@
 //    mask alone) against std::map models, across
 //    scheme families × mask kinds × semantics × {int, int64_t} ×
 //    monolithic/sharded execution;
+//  * every paper scheme × mask kind × semantics × {int, int64_t} through
+//    the Engine's result splice, on order-sensitive values, against a
+//    fresh-Engine rebuild; splices leave the plan cache untouched and
+//    report their own stats;
 //  * a concurrent updater-vs-snapshot-readers stress for the TSan job
 //    (`ctest -L 'fuzz|storage|dynamic'` under -DMSPGEMM_TSAN=ON).
 //
@@ -26,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <iterator>
 #include <map>
@@ -331,6 +336,127 @@ TEST(EngineUpdateTest, ResultSpliceRecomputesOnlyDirtyRows) {
   EXPECT_EQ(eng.result_cache_size(), 0u);
 }
 
+TEST(EngineUpdateTest, SpliceFillsTheStatsAFullCallFills) {
+  // One stats struct reused across a full call, two splices and a no-op
+  // splice: every call reports its own figures, nothing is summed across
+  // calls or left over from an earlier one.
+  using SR = PlusTimes<double>;
+  const int n = 2048;
+  const auto base = random_csr<int, double>(n, n, 8.0 / n, base_seed() + 8);
+  const auto b = random_csr<int, double>(n, n, 8.0 / n, base_seed() + 9);
+  const auto m = random_csr<int, double>(n, n, 16.0 / n, base_seed() + 10);
+
+  DeltaMatrix<int, double> dm(base, 100.0);
+  Engine eng;
+  BoundMatrix<int, double> ah(dm.matrix());
+  BoundMatrix<int, double> bh(b);
+  BoundMatrix<int, double> mh(m);
+  auto edit = [&](std::vector<EdgeUpdate<int, double>> edits) {
+    eng.update(dm, ah, std::span<const EdgeUpdate<int, double>>(edits));
+  };
+  auto total_flops = [&] {
+    std::int64_t f = 0;
+    for (const std::int64_t x : row_flops(dm.matrix(), b)) f += x;
+    return f;
+  };
+  MaskedSpgemmStats st;
+  auto query = [&] {
+    return eng.multiply_scheme<SR>(Scheme::kMsa1P, dm.matrix(), b, m,
+                                   MaskKind::kMask, MaskSemantics::kStructural,
+                                   &st, &ah, &bh, &mh);
+  };
+
+  edit({{0, 1, 1.0, false}});
+  const auto c0 = query();
+  EXPECT_FALSE(st.plan_cache_hit);
+  EXPECT_EQ(st.output_nnz, c0.nnz());
+  EXPECT_EQ(st.total_flops, total_flops());
+  EXPECT_EQ(st.plan_rows_refreshed, 0u);
+
+  auto splice = [&](std::vector<EdgeUpdate<int, double>> edits,
+                    std::size_t rows) {
+    SCOPED_TRACE("splice of " + std::to_string(rows) + " rows");
+    edit(std::move(edits));
+    const std::size_t recomputed0 = eng.cache_stats().result_rows_recomputed;
+    const std::size_t splices0 = eng.cache_stats().result_splices;
+    const auto c = query();
+    EXPECT_EQ(eng.cache_stats().result_splices, splices0 + 1);
+    EXPECT_EQ(eng.cache_stats().result_rows_recomputed - recomputed0, rows);
+    EXPECT_TRUE(st.plan_cache_hit);
+    EXPECT_TRUE(st.symbolic_skipped);
+    EXPECT_EQ(st.plan_rows_refreshed, rows);
+    EXPECT_EQ(st.output_nnz, c.nnz());
+    EXPECT_EQ(st.total_flops, total_flops());
+    EXPECT_EQ(st.symbolic_seconds, 0.0);
+    Engine fresh;
+    EXPECT_TRUE(csr_equal(fresh.multiply_scheme<SR>(Scheme::kMsa1P,
+                                                    dm.matrix(), b, m),
+                          c));
+    return c;
+  };
+  (void)splice({{3, 5, 2.0, false}, {3, 6, 2.0, false}, {1900, 2, 3.0, false}},
+               2);
+  const auto c2 = splice({{700, 9, 4.0, false}}, 1);
+  const auto c3 = splice({}, 0);  // nothing dirty: the cached result
+  EXPECT_TRUE(csr_equal(c2, c3));
+  EXPECT_EQ(st.numeric_seconds, 0.0);
+  EXPECT_EQ(st.bound_nnz, 0u);
+}
+
+TEST(EngineUpdateTest, SplicesLeaveThePlanCacheAlone) {
+  // More splices than the plan cache holds plans: a splice builds no plan
+  // and computes no fingerprint, so the full-matrix plan survives them and
+  // a later update dirtying most rows takes the full path on a cache hit.
+  using SR = PlusTimes<double>;
+  const int n = 2048;
+  const auto base = random_csr<int, double>(n, n, 8.0 / n, base_seed() + 11);
+  const auto b = random_csr<int, double>(n, n, 8.0 / n, base_seed() + 12);
+  const auto m = random_csr<int, double>(n, n, 16.0 / n, base_seed() + 13);
+
+  DeltaMatrix<int, double> dm(base, 100.0);
+  Engine eng;  // the default plan cache holds 64 plans
+  BoundMatrix<int, double> ah(dm.matrix());
+  BoundMatrix<int, double> bh(b);
+  BoundMatrix<int, double> mh(m);
+  auto edit = [&](const std::vector<EdgeUpdate<int, double>>& edits) {
+    eng.update(dm, ah, std::span<const EdgeUpdate<int, double>>(edits));
+  };
+  auto query = [&](MaskedSpgemmStats* st) {
+    return eng.multiply_scheme<SR>(Scheme::kMsa2P, dm.matrix(), b, m,
+                                   MaskKind::kMask, MaskSemantics::kStructural,
+                                   st, &ah, &bh, &mh);
+  };
+
+  edit({{0, 1, 1.0, false}});
+  (void)query(nullptr);
+  const ExecutionContext::CacheStats before = eng.cache_stats();
+  const std::size_t plans = eng.plan_count();
+  const int kSplices = 70;
+  for (int s = 0; s < kSplices; ++s) {
+    edit({{(s * 29) % n, (s * 13) % n, 1.0 + s % 7, s % 3 == 0}});
+    (void)query(nullptr);
+  }
+  const ExecutionContext::CacheStats& after = eng.cache_stats();
+  EXPECT_EQ(after.result_splices - before.result_splices,
+            static_cast<std::size_t>(kSplices));
+  EXPECT_EQ(after.plan_misses, before.plan_misses);
+  EXPECT_EQ(after.fingerprints_computed, before.fingerprints_computed);
+  EXPECT_EQ(eng.plan_count(), plans);
+
+  // Rows 0, 128, ..., 1920 coalesce into one run over most of the matrix:
+  // too much to splice, so the full path runs — on the cached plan.
+  std::vector<EdgeUpdate<int, double>> wide;
+  for (int i = 0; i < n; i += 128) wide.push_back({i, (i * 7) % n, 2.0, false});
+  edit(wide);
+  MaskedSpgemmStats st;
+  const auto c = query(&st);
+  EXPECT_EQ(eng.cache_stats().result_splices, after.result_splices);
+  EXPECT_TRUE(st.plan_cache_hit);
+  Engine fresh;
+  EXPECT_TRUE(csr_equal(
+      fresh.multiply_scheme<SR>(Scheme::kMsa2P, dm.matrix(), b, m), c));
+}
+
 // ---------------------------------------------------------------------------
 // TiledEngine::update — per-shard invalidation
 // ---------------------------------------------------------------------------
@@ -391,10 +517,16 @@ TEST(TiledUpdateTest, RefreshRowsRejectsShapeChange) {
 
 template <class IT, class VT>
 CsrMatrix<IT, VT> model_to_csr(const std::map<std::pair<IT, IT>, VT>& model,
-                               IT n) {
-  CooMatrix<IT, VT> coo(n, n);
+                               IT rows, IT cols) {
+  CooMatrix<IT, VT> coo(rows, cols);
   for (const auto& [coord, v] : model) coo.push(coord.first, coord.second, v);
   return coo_to_csr(std::move(coo));
+}
+
+template <class IT, class VT>
+CsrMatrix<IT, VT> model_to_csr(const std::map<std::pair<IT, IT>, VT>& model,
+                               IT n) {
+  return model_to_csr(model, n, n);
 }
 
 template <class IT, class VT>
@@ -642,6 +774,183 @@ TEST(DynamicFuzzTest, ShardedUpdateStreamMatchesRebuildInt64) {
     run_sharded_trial<std::int64_t>(base_seed() + 1500 +
                                     static_cast<std::uint64_t>(i));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Every paper scheme through the result splice
+// ---------------------------------------------------------------------------
+
+/// Same bits and same sign of zero (csr_equal compares values with ==,
+/// under which -0.0 equals +0.0).
+template <class IT>
+::testing::AssertionResult bit_identical(const CsrMatrix<IT, double>& want,
+                                         const CsrMatrix<IT, double>& got) {
+  auto same = csr_equal(want, got);
+  if (!same) return same;
+  for (std::size_t p = 0; p < want.values.size(); ++p) {
+    if (std::signbit(want.values[p]) != std::signbit(got.values[p])) {
+      return ::testing::AssertionFailure()
+             << "value slot " << p << ": sign of zero differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Every one of the 12 paper schemes × {mask, complement where supported}
+/// × {structural, valued}: a seeded result, then update bursts whose dirty
+/// runs sit at row 0, at the last row, as two adjacent runs, on a row they
+/// empty and on an empty row they fill — each re-query must be answered by
+/// the splice and match a fresh-Engine rebuild bit for bit. The values
+/// (1e16, 1.0, -1e16) give sums that depend on the order of addition, and
+/// row 0's burst makes -0.0 products, so a splice that recomputed a row in
+/// any other order, or with another kernel, would show.
+template <class IT>
+void check_every_scheme_through_splice() {
+  using VT = double;
+  using SR = PlusTimes<VT>;
+  const IT n = 96;     // rows of A and M
+  const IT inner = 40; // columns of A, rows of B
+  const IT p = 72;     // columns of B and M
+  const IT emptied = 30;
+  const IT filled = 60;
+  Xoshiro256 rng(base_seed() + 3000);
+  const VT kSums[] = {1e16, 1.0, -1e16, 1.0};
+  auto random_entries = [&](std::map<std::pair<IT, IT>, VT>& model, IT rows,
+                            IT cols, double density, double zeros) {
+    for (IT i = 0; i < rows; ++i) {
+      for (IT j = 0; j < cols; ++j) {
+        if (rng.next_double() >= density) continue;
+        model[{i, j}] = rng.next_double() < zeros
+                            ? VT{}
+                            : kSums[rng.next_below(std::size(kSums))];
+      }
+    }
+  };
+  std::map<std::pair<IT, IT>, VT> am, bm, mm;
+  random_entries(am, n, inner, 0.12, 0.0);
+  random_entries(bm, inner, p, 0.12, 0.1);
+  random_entries(mm, n, p, 0.25, 0.2);  // explicit zeros: valued differs
+  // Row `emptied` of A has entries to remove; row `filled` has none yet,
+  // under a non-empty mask row.
+  am[{emptied, 1}] = 1.0;
+  am[{emptied, 2}] = 1e16;
+  std::erase_if(am, [&](const auto& e) { return e.first.first == filled; });
+  mm[{filled, 7}] = 1.0;
+  // B row 0 holds zeros at columns 3 (in M's row 0) and 5 (outside it):
+  // A(0,0) = -1 then gives -0.0 under the mask and its complement.
+  bm[{0, 3}] = 0.0;
+  bm[{0, 5}] = 0.0;
+  mm[{0, 3}] = 1.0;
+  mm.erase({0, 5});
+  // B rows 10, 11, 12 hold 1e16, 1.0, -1e16 at columns 7 (in M's last
+  // row) and 9 (outside it): the last row's sums depend on the order.
+  for (IT j : {IT{7}, IT{9}}) {
+    bm[{10, j}] = 1e16;
+    bm[{11, j}] = 1.0;
+    bm[{12, j}] = -1e16;
+  }
+  mm[{n - 1, 7}] = 1.0;
+  mm.erase({n - 1, 9});
+  const CsrMatrix<IT, VT> a0 = model_to_csr(am, n, inner);
+  const CsrMatrix<IT, VT> b = model_to_csr(bm, inner, p);
+  const CsrMatrix<IT, VT> m = model_to_csr(mm, n, p);
+
+  using Edits = std::vector<EdgeUpdate<IT, VT>>;
+  auto clear_row = [](const CsrMatrix<IT, VT>& x, IT i, Edits& out) {
+    for (IT c : x.row_cols(i)) out.push_back({i, c, VT{}, true});
+  };
+
+  bool saw_negative_zero = false;
+  for (const Scheme scheme : our_schemes()) {
+    for (const MaskKind kind : {MaskKind::kMask, MaskKind::kComplement}) {
+      if (!scheme_supports_complement(scheme) && kind == MaskKind::kComplement)
+        continue;
+      for (const MaskSemantics sem :
+           {MaskSemantics::kStructural, MaskSemantics::kValued}) {
+        SCOPED_TRACE(std::string(scheme_name(scheme)) +
+                     (kind == MaskKind::kMask ? " mask" : " complement") +
+                     (sem == MaskSemantics::kValued ? " valued"
+                                                    : " structural"));
+        DeltaMatrix<IT, VT> dm(a0, 100.0);
+        Engine eng;
+        BoundMatrix<IT, VT> ah(dm.matrix());
+        BoundMatrix<IT, VT> bh(b);
+        BoundMatrix<IT, VT> mh(m);
+        auto update = [&](const Edits& edits) {
+          eng.update(dm, ah, std::span<const EdgeUpdate<IT, VT>>(edits));
+        };
+        auto query = [&] {
+          return eng.multiply_scheme<SR>(scheme, dm.matrix(), b, m, kind, sem,
+                                         nullptr, &ah, &bh, &mh);
+        };
+        // Switch A's handle to its dirty log, then seed the result cache.
+        update({{n / 2, 0, 1.0, false}});
+        (void)query();
+        ASSERT_EQ(eng.result_cache_size(), 1u);
+
+        auto check = [&](const char* what) {
+          SCOPED_TRACE(what);
+          const std::size_t splices = eng.cache_stats().result_splices;
+          const std::size_t misses = eng.cache_stats().plan_misses;
+          const auto got = query();
+          EXPECT_EQ(eng.cache_stats().result_splices, splices + 1);
+          EXPECT_EQ(eng.cache_stats().plan_misses, misses);
+          Engine fresh;
+          const CsrMatrix<IT, VT> a_now = dm.matrix();
+          const auto want =
+              fresh.multiply_scheme<SR>(scheme, a_now, b, m, kind, sem);
+          EXPECT_TRUE(bit_identical(want, got));
+          for (const VT v : want.values) {
+            saw_negative_zero |= v == 0.0 && std::signbit(v);
+          }
+          return want;
+        };
+
+        Edits row0;
+        clear_row(dm.matrix(), 0, row0);
+        row0.push_back({0, 0, -1.0, false});
+        update(row0);
+        (void)check("run at row 0");
+
+        Edits last;
+        clear_row(dm.matrix(), n - 1, last);
+        for (IT k : {IT{10}, IT{11}, IT{12}}) {
+          last.push_back({n - 1, k, 1.0, false});
+        }
+        update(last);
+        (void)check("run at the last row");
+
+        update({{40, 3, 1e16, false},
+                {41, 11, 1.0, false},
+                {42, 4, -1.0, true}});
+        update({{43, 12, -1e16, false}, {44, 10, 1.0, false}});
+        (void)check("two adjacent runs");
+
+        Edits empty;
+        clear_row(dm.matrix(), emptied, empty);
+        update(empty);
+        const auto after_empty = check("a run that empties a row");
+        if (kind == MaskKind::kMask) {
+          EXPECT_EQ(after_empty.row_nnz(emptied), 0);
+        }
+
+        update({{filled, 10, 1.0, false},
+                {filled, 11, 1.0, false},
+                {filled, 12, 1.0, false}});
+        const auto after_fill = check("a run that fills an empty row");
+        EXPECT_GT(after_fill.row_nnz(filled), 0);
+      }
+    }
+  }
+  EXPECT_TRUE(saw_negative_zero);  // the fixture makes what it claims
+}
+
+TEST(DynamicSpliceTest, EverySchemeMatchesRebuild) {
+  check_every_scheme_through_splice<int>();
+}
+
+TEST(DynamicSpliceTest, EverySchemeMatchesRebuildInt64) {
+  check_every_scheme_through_splice<std::int64_t>();
 }
 
 // ---------------------------------------------------------------------------
